@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke fabric-smoke all
+.PHONY: install test bench bench-smoke bench-compare bench-paper perfbench-test figures examples obs-smoke trace-smoke chaos-smoke check-smoke fabric-smoke all
 
 install:
 	pip install -e . || python setup.py develop
@@ -32,6 +32,11 @@ bench-compare:
 
 bench-paper:
 	REPRO_BENCH_QUALITY=paper pytest benchmarks/ --benchmark-only
+
+# Tests of the repository benchmark itself (perfbench/README.md): the
+# runner's correctness checks, metric printing and layer attribution.
+perfbench-test:
+	python3 -m pytest perfbench -q
 
 # Telemetry gate: run a traced scenario through the full obs pipeline,
 # fail on export-schema drift or incomplete span coverage, and leave the

@@ -62,8 +62,7 @@ class _StaleMatchSender(SenderAlgorithm):
             )
             self.seq += nbytes
             if plan.advert_done:
-                self.adverts.popleft()
-                self._head_filled = 0
+                self._retire_head_advert()
             else:
                 self._head_filled += nbytes
             self.stats.direct_transfers += 1

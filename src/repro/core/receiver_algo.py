@@ -16,9 +16,8 @@ Paper-variable correspondence (Table I): ``self.phase`` = P_r,
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional
+from typing import Any, List, Optional
 
 from .advert import Advert
 from .invariants import require
@@ -86,7 +85,7 @@ class ReceiverAlgorithm:
         self.prior_phase_adverts: int = 0
         #: the paper's k_b — pending exs_recv()s with no ADVERT
         self.unadvertised_recvs: int = 0
-        self.queue: Deque[RecvEntry] = deque()
+        self.queue: List[RecvEntry] = []
         self._advert_ids = itertools.count(1)
         self._recv_ids = itertools.count(1)
 
@@ -302,7 +301,7 @@ class ReceiverAlgorithm:
     # ------------------------------------------------------------------
     def _complete_head(self, entry: RecvEntry) -> None:
         require(self.queue and self.queue[0] is entry, "completion order", "non-head completion")
-        self.queue.popleft()
+        self.pop_head()
         entry.completed = True
         if entry.advert is not None:
             # While the phase is indirect, every outstanding advert-bearing
@@ -329,3 +328,7 @@ class ReceiverAlgorithm:
     @property
     def head_entry(self) -> Optional[RecvEntry]:
         return self.queue[0] if self.queue else None
+
+    def pop_head(self) -> RecvEntry:
+        """Remove and return the head entry (completion or teardown)."""
+        return self.queue.pop(0)

@@ -21,9 +21,8 @@ an ADVERT's fields carry P_A and S_A.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Union
+from typing import List, Optional, Union
 
 from .advert import Advert
 from .invariants import require
@@ -87,7 +86,7 @@ class SenderAlgorithm:
         #: the paper's S_s
         self.seq: int = 0
         #: the paper's q_A
-        self.adverts: Deque[Advert] = deque()
+        self.adverts: List[Advert] = []
         #: bytes already sent into the head (WAITALL) advert
         self._head_filled: int = 0
 
@@ -122,8 +121,7 @@ class SenderAlgorithm:
                 # the Fig. 8 hazard fix).
                 if self.phase < advert.phase:
                     self._set_phase(next_phase(advert.phase))
-                self.adverts.popleft()
-                self._head_filled = 0
+                self._retire_head_advert()
                 self.stats.adverts_discarded += 1
                 continue
             # lines 8-15: usable ADVERT -> direct transfer
@@ -149,8 +147,7 @@ class SenderAlgorithm:
             )
             self.seq += nbytes  # line 12: S_s <- S_s + l_w
             if plan.advert_done:
-                self.adverts.popleft()
-                self._head_filled = 0
+                self._retire_head_advert()
             else:
                 # MSG_WAITALL: the ADVERT stays at the head of the queue
                 # until all of its bytes have been transferred (paper §II-C).
@@ -182,6 +179,11 @@ class SenderAlgorithm:
         if is_direct(phase) != is_direct(self.phase):
             self.stats.mode_switches += 1
         self.phase = phase
+
+    def _retire_head_advert(self) -> None:
+        """Drop the head ADVERT (consumed or stale) from q_A."""
+        self.adverts.pop(0)
+        self._head_filled = 0
 
     # ------------------------------------------------------------------
     @property

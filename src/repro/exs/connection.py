@@ -17,9 +17,8 @@ when nothing is runnable.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Optional
+from typing import Any, List, Optional
 
 from ..core import ProtocolStats
 from ..core.invariants import require
@@ -73,6 +72,21 @@ class ExsConnection:
     """Engine and state for one connected EXS socket."""
 
     _ids = itertools.count(1)
+
+    # One instance per endpoint, thousands on an incast fabric: slots
+    # drop the per-instance ``__dict__``.  Every attribute is set in
+    # ``__init__`` below.
+    __slots__ = (
+        "sim", "host", "device", "socket", "options", "conn_id", "costs",
+        "socket_type", "transport", "srq_pool", "_shard", "channel", "cq",
+        "qp", "credits", "tx_stats", "rx_stats", "copy_meter", "_slot_bytes",
+        "recv_pool_buf", "_free_slots", "_recv_pool_buf", "_recv_pool_mr",
+        "ring_buffer", "ring_mr", "tx", "rx", "_ctrl_queue", "tracer",
+        "_last_tx_phase", "_last_rx_phase", "_last_discarded", "_wr_ids",
+        "peer_conn_id", "_kick", "_engine", "established", "closing",
+        "close_event_posted", "_close_eq", "_close_context", "broken",
+        "error",
+    )
 
     def __init__(
         self,
@@ -189,7 +203,7 @@ class ExsConnection:
             self.tx = SeqPacketSenderHalf(self)
             self.rx = SeqPacketReceiverHalf(self)
 
-        self._ctrl_queue: Deque[ControlMsg] = deque()
+        self._ctrl_queue: List[ControlMsg] = []
         #: optional ProtocolTracer (see repro.trace); set on the host
         self.tracer = getattr(host, "tracer", None)
         self._last_tx_phase = 0
@@ -669,7 +683,7 @@ class ExsConnection:
     def _pump_control(self):
         progressed = False
         while self._ctrl_queue and self.credits.can_send_control():
-            msg = self._ctrl_queue.popleft()
+            msg = self._ctrl_queue.pop(0)
             yield from self.charge(self.costs.send_control_ns)
             self._post_control(msg)
             progressed = True

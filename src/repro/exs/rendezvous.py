@@ -26,9 +26,8 @@ without any ring accounting.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..core.invariants import require
 from ..hosts.memory import Chunk
@@ -50,14 +49,14 @@ class RdvSenderHalf:
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
         #: user sends with unplanned bytes remaining (FIFO)
-        self.pending: Deque[UserSend] = deque()
+        self.pending: List[UserSend] = []
         #: every submitted-but-not-fully-acked send, by id (insertion order)
         self._incomplete: "dict[int, UserSend]" = {}
         self._send_ids = itertools.count(1)
         #: stream position after all bytes handed to the transport
         self.seq = 0
         #: CTS grants received and not yet consumed (FIFO, apply to head)
-        self.grants: Deque[CtsMsg] = deque()
+        self.grants: List[CtsMsg] = []
         #: send_ids whose RTS has been queued
         self._rts_sent: set = set()
         self.fin_sent = False
@@ -118,7 +117,7 @@ class RdvSenderHalf:
             head = self.pending[0]
             if head.unplanned == 0:
                 # Fully handed to the transport; completion happens on ack.
-                self.pending.popleft()
+                self.pending.pop(0)
                 continue
             if head.nbytes <= conn.options.eager_threshold:
                 if not conn.credits.can_send_data(1):
@@ -139,7 +138,7 @@ class RdvSenderHalf:
             if not conn.credits.can_send_data(1):
                 self._note_blocked()
                 break
-            grant = self.grants.popleft()
+            grant = self.grants.pop(0)
             require(grant.nbytes <= head.unplanned,
                     "rendezvous", "CTS grants more than the outstanding RTS")
             yield from self._post_rendezvous(head, grant)
@@ -302,8 +301,8 @@ class RdvReceiverHalf:
 
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
-        self.entries: Deque[_RdvEntry] = deque()
-        self.staged: Deque[_StagedEager] = deque()
+        self.entries: List[_RdvEntry] = []
+        self.staged: List[_StagedEager] = []
         #: bytes requested by the peer's RTS and not yet granted by a CTS
         self.rts_remaining = 0
         #: stream position after all bytes placed into user memory
@@ -412,7 +411,7 @@ class RdvReceiverHalf:
         entry.filled += plan.nbytes
         self.seq += plan.nbytes
         if staged.remaining == 0:
-            self.staged.popleft()
+            self.staged.pop(0)
             conn.recycle_eager_slot(staged.slot)
         self._pump_grants()
         self._try_deliver()
@@ -454,7 +453,7 @@ class RdvReceiverHalf:
                 pass  # short delivery: nothing more is immediately coming
             else:
                 return
-            self.entries.popleft()
+            self.entries.pop(0)
             self._deliver(head, eof=False)
 
     def pump_eof(self) -> bool:
@@ -463,7 +462,7 @@ class RdvReceiverHalf:
             return False
         progressed = False
         while self.entries:
-            head = self.entries.popleft()
+            head = self.entries.pop(0)
             require(head.granted == 0, "FIN", "EOF with grants outstanding")
             self._deliver(head, eof=True)
             progressed = True
@@ -484,7 +483,7 @@ class RdvReceiverHalf:
         """Connection died: drain every pending recv for ERROR delivery."""
         out = []
         while self.entries:
-            entry = self.entries.popleft()
+            entry = self.entries.pop(0)
             out.append((entry.urecv.eq, entry.urecv.context))
         return out
 

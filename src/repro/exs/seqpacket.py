@@ -18,9 +18,8 @@ when porting stream applications.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..core.advert import Advert
 from ..core.invariants import require
@@ -58,10 +57,10 @@ class SeqPacketSenderHalf:
 
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
-        self.pending: Deque[_PendingSend] = deque()
+        self.pending: List[_PendingSend] = []
         #: posted to the transport but not yet acked (FIFO)
-        self.unacked: Deque[_PendingSend] = deque()
-        self.adverts: Deque[Advert] = deque()
+        self.unacked: List[_PendingSend] = []
+        self.adverts: List[Advert] = []
         self.fin_sent = False
         self.fin_acked = True  # seqpacket close is immediate in this model
         self.first_post_ns: Optional[int] = None
@@ -89,8 +88,8 @@ class SeqPacketSenderHalf:
         while self.pending and self.adverts:
             if not self.conn.credits.can_send_data(1):
                 break
-            ps = self.pending.popleft()
-            advert = self.adverts.popleft()
+            ps = self.pending.pop(0)
+            advert = self.adverts.pop(0)
             nbytes = min(ps.nbytes, advert.length)
             ps.truncated = ps.nbytes > advert.length
             ps.sent_bytes = nbytes
@@ -180,7 +179,7 @@ class SeqPacketReceiverHalf:
 
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
-        self.queue: Deque[_PendingRecv] = deque()
+        self.queue: List[_PendingRecv] = []
         self._advert_ids = itertools.count(1)
         self.eof_seq: Optional[int] = None
         self.first_arrival_ns: Optional[int] = None
@@ -209,7 +208,7 @@ class SeqPacketReceiverHalf:
 
     def on_direct_arrival(self, advert_id: int, nbytes: int, stream_offset: int, remote_addr: int) -> None:
         require(len(self.queue) > 0, "seqpacket order", "message arrived with no pending recv")
-        pr = self.queue.popleft()
+        pr = self.queue.pop(0)
         require(
             pr.advert.advert_id == advert_id,
             "seqpacket order",
@@ -256,7 +255,7 @@ class SeqPacketReceiverHalf:
             return False
         progressed = False
         while self.queue:
-            pr = self.queue.popleft()
+            pr = self.queue.pop(0)
             pr.urecv.eq.post(
                 ExsEvent(kind=ExsEventType.RECV, socket=self.conn.socket, nbytes=0,
                          eof=True, context=pr.urecv.context)

@@ -12,9 +12,8 @@ CPU-usage story), acknowledging freed ring space, and delivering
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..core import CopyPlan, ProtocolMode, ReceiverAlgorithm, ReceiverRing, RingSegment
 from ..core.invariants import require
@@ -175,9 +174,8 @@ class StreamReceiverHalf:
             return False
         progressed = False
         while self.algo.queue:
-            entry = self.algo.queue[0]
             # Partial WAITALL receives complete short at end of stream.
-            self.algo.queue.popleft()
+            entry = self.algo.pop_head()
             entry.completed = True
             self.bytes_delivered_total += entry.filled
             if self.conn.tracer is not None:
@@ -199,7 +197,7 @@ class StreamReceiverHalf:
         """Connection died: drain every pending recv for ERROR delivery."""
         out = []
         while self.algo.queue:
-            entry = self.algo.queue.popleft()
+            entry = self.algo.pop_head()
             urecv: UserRecv = entry.context
             out.append((urecv.eq, urecv.context))
         return out

@@ -11,9 +11,8 @@ intermediate ring), consuming send credits, and completing user
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..core import DirectPlan, IndirectPlan, ProtocolMode, SenderAlgorithm, SenderRingView
 from ..hosts.memory import Buffer, Chunk
@@ -61,7 +60,7 @@ class StreamSenderHalf:
         self.conn = conn
         self.algo: Optional[SenderAlgorithm] = None
         #: user sends with unplanned bytes remaining (FIFO)
-        self.pending: Deque[UserSend] = deque()
+        self.pending: List[UserSend] = []
         #: every submitted-but-not-fully-acked send, by id (insertion order).
         #: `pending` drops a send once fully *planned*; this map keeps it
         #: until fully *acked* so connection failure can error it out.
@@ -135,7 +134,7 @@ class StreamSenderHalf:
             head = self.pending[0]
             if head.unplanned == 0:
                 # Fully handed to the transport; completion happens on ack.
-                self.pending.popleft()
+                self.pending.pop(0)
                 continue
             # An indirect transfer can split in two at the ring wrap point;
             # require two credits so the pair can never half-issue.

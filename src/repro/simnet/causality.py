@@ -148,7 +148,9 @@ class CausalRecorder:
         self._tail: deque = deque(maxlen=capacity if capacity is not None else DEFAULT_TAIL)
         self.dumps: list[dict] = []
         self.last_dump: Optional[dict] = None
-        # credit-stall windows per connection (see repro.exs.stream_sender)
+        # credit-stall windows per connection (see repro.exs.stream_sender);
+        # only full capture records them: critical-path extraction is their
+        # one reader, and in ring mode they would grow with run length
         self._blocked_since: dict[Any, int] = {}
         self.credit_windows: list[tuple] = []
 
@@ -188,7 +190,8 @@ class CausalRecorder:
 
     def note_credit_block(self, conn: Any, now: int) -> None:
         """A sender stalled for credits on *conn* starting at *now*."""
-        self._blocked_since.setdefault(conn, now)
+        if self.capacity is None:
+            self._blocked_since.setdefault(conn, now)
 
     def note_credit_unblock(self, conn: Any, now: int) -> None:
         """The sender for *conn* made progress again at *now*."""
@@ -210,7 +213,10 @@ class CausalRecorder:
         node.fire_ns = time_ns
         node.meta = dict(context, reason=reason)
         self.nodes[cid] = node
-        self._tail.append(node)
+        tail = self._tail
+        if self.capacity is not None and len(tail) == tail.maxlen:
+            self.nodes.pop(tail[0].cid, None)
+        tail.append(node)
         dump = {
             "schema": FLIGHT_SCHEMA,
             "reason": reason,

@@ -103,12 +103,17 @@ class Resource:
 
 
 class Store:
-    """Unbounded FIFO store of items with blocking ``get``."""
+    """Unbounded FIFO store of items with blocking ``get``.
+
+    Stores are per-connection mailboxes (EXS event queues, CM listener
+    backlogs): thousands of them, nearly all short or empty, so they are
+    plain lists (an empty deque is 760 bytes, an empty list 56).
+    """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._items: List[Any] = []
+        self._getters: List[Event] = []
 
     def __len__(self) -> int:
         return len(self._items)
@@ -116,7 +121,7 @@ class Store:
     def put(self, item: Any) -> None:
         """Add an item, waking the oldest blocked getter if any."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.pop(0).succeed(item)
         else:
             self._items.append(item)
 
@@ -124,14 +129,14 @@ class Store:
         """Return an event that fires with the next item."""
         ev = Event(self.sim)
         if self._items:
-            ev.succeed(self._items.popleft())
+            ev.succeed(self._items.pop(0))
         else:
             self._getters.append(ev)
         return ev
 
     def try_get(self) -> Any:
         """Non-blocking get; returns None if empty."""
-        return self._items.popleft() if self._items else None
+        return self._items.pop(0) if self._items else None
 
     def snapshot(self) -> List[Any]:
         """Copy of queued items (for inspection in tests)."""

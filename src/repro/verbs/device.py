@@ -194,13 +194,13 @@ class RdmaDevice:
                 continue
             qp = self._service.popleft()
             self._in_service.discard(qp.qpn)
-            if not qp.sq or qp.state is not QPState.READY:
+            wr = qp.take_send()
+            if wr is None:
                 continue
-            wr = qp.sq.popleft()
             if cfg.wr_overhead_ns:
                 yield self.sim.timeout(cfg.wr_overhead_ns)
             self._transmit_wr(qp, wr)
-            if qp.sq:
+            if qp.send_queue_depth:
                 if qp.qpn not in self._in_service:
                     self._in_service.add(qp.qpn)
                     self._service.append(qp)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .cq import CompletionQueue, WorkCompletion
 from .enums import Opcode, QPState, SendFlags, WCOpcode, WCStatus
@@ -45,8 +44,8 @@ class QueuePair:
         self.state = QPState.RESET
         self.remote_qpn: Optional[int] = None
 
-        self.sq: Deque[SendWR] = deque()
-        self.rq: Deque[RecvWR] = deque()
+        self.sq: List[SendWR] = []
+        self.rq: List[RecvWR] = []
         #: sends transmitted but not yet acked, keyed by message seq
         self.inflight: Dict[int, SendWR] = {}
         self._next_seq = 0
@@ -104,8 +103,7 @@ class QueuePair:
             status = WCStatus.WR_FLUSH_ERR
             flushed += 1
         self.inflight.clear()
-        while self.sq:
-            wr = self.sq.popleft()
+        for wr in self.sq:
             self.send_cq.push(
                 WorkCompletion(
                     wr_id=wr.wr_id,
@@ -118,8 +116,8 @@ class QueuePair:
             )
             status = WCStatus.WR_FLUSH_ERR
             flushed += 1
-        while self.rq:
-            rwr = self.rq.popleft()
+        self.sq.clear()
+        for rwr in self.rq:
             self.recv_cq.push(
                 WorkCompletion(
                     wr_id=rwr.wr_id,
@@ -131,6 +129,7 @@ class QueuePair:
                 )
             )
             flushed += 1
+        self.rq.clear()
         return flushed
 
     # ------------------------------------------------------------------
@@ -169,11 +168,18 @@ class QueuePair:
         """Consume the next receive WR (RQ head, or the SRQ pool's)."""
         if self.srq is not None:
             return self.srq.take()
-        return self.rq.popleft()
+        return self.rq.pop(0)
 
     # ------------------------------------------------------------------
     # used by the transport engine
     # ------------------------------------------------------------------
+    def take_send(self) -> Optional[SendWR]:
+        """Dequeue the next send WR, or None if the SQ is empty or the QP is
+        not READY (the transport engine never transmits from a dead QP)."""
+        if not self.sq or self.state is not QPState.READY:
+            return None
+        return self.sq.pop(0)
+
     def next_seq(self) -> int:
         seq = self._next_seq
         self._next_seq += 1

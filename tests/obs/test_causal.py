@@ -9,8 +9,9 @@ blast must attribute nonzero latency to ``retransmit_backoff``.
 
 import pytest
 
-from repro.apps import BlastConfig, ExponentialSizes, run_blast
+from repro.apps import BlastConfig, ExponentialSizes, FixedSizes, run_blast
 from repro.config import ScenarioConfig
+from repro.exs import ExsSocketOptions
 from repro.obs.causal import (
     SEGMENTS,
     _relabel_credit,
@@ -95,6 +96,26 @@ def test_report_render_and_dict(lossy_run):
     d = report.to_dict()
     assert d["messages"] == 40
     assert sum(d["totals"].values()) == report.total_ns
+
+
+# ----------------------------------------------------------------------
+# credit-stall windows: full capture only (ring mode stays bounded)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("capacity", [None, 64])
+def test_credit_windows_only_under_full_capture(capacity):
+    # 16 sends against 2 receives with 8 credits stalls the sender on
+    # credits again and again; the flight ring must not keep those windows
+    scenario = ScenarioConfig(
+        seed=1, causal_capture=capacity is None, flight_recorder=capacity or 0)
+    tb = Testbed.from_scenario(scenario)
+    run_blast(BlastConfig(total_messages=200, sizes=FixedSizes(1024),
+                          outstanding_sends=16, outstanding_recvs=2,
+                          options=ExsSocketOptions(credits=8)),
+              testbed=tb, scenario=scenario)
+    if capacity is None:
+        assert len(tb.causal.credit_windows) > 10
+    else:
+        assert tb.causal.credit_windows == []
 
 
 # ----------------------------------------------------------------------

@@ -190,6 +190,31 @@ def test_ring_mode_bounds_memory():
     assert [n.cid for n in rec.fired_nodes()] == list(range(42, 50))
 
 
+def test_ring_mode_failure_evicts_pushed_out_node():
+    sim = Simulator()
+    rec = enable_capture(sim, CausalRecorder(capacity=4))
+    for i in range(10):
+        sim.call_in(i, lambda a: None, None)
+    sim.call_in(20, lambda a: rec.failure("qp_error", sim.now), None)
+    sim.run()
+    ring = [n.cid for n in rec.fired_nodes()]
+    assert len(ring) == 4 and rec.nodes[ring[-1]].category == "failure"
+    # every retained fired node is in the ring: the failure append evicted
+    # the node it pushed out, exactly as a fire would have
+    fired = {cid for cid, n in rec.nodes.items() if n.fire_ns is not None}
+    assert fired == set(ring)
+
+
+def test_credit_windows_recorded_only_under_full_capture():
+    full, ring = CausalRecorder(), CausalRecorder(capacity=8)
+    for rec in (full, ring):
+        for t in range(0, 300, 30):
+            rec.note_credit_block("conn", t)
+            rec.note_credit_unblock("conn", t + 10)
+    assert len(full.credit_windows) == 10
+    assert ring.credit_windows == [] and ring._blocked_since == {}
+
+
 def test_failure_dump_parents_to_current_event(tmp_path):
     sim = Simulator()
     rec = enable_capture(

@@ -31,70 +31,14 @@ def test_event_calendar_throughput(benchmark):
     assert events >= 20_000
 
 
-def test_wheel_fixed_delay_batches(benchmark):
-    """Fixed-delay regime: 64 lockstep processes on one common period.
-
-    The dominant workload shape (link delivery at the memoized
-    transmission time): every instant carries a 64-entry same-instant
-    batch, all placements land in level-0 wheel slots, and the whole
-    batch costs one heap operation.
-    """
-
-    def run():
-        sim = Simulator()
-
-        def worker():
-            for _ in range(300):
-                yield sim.timeout(1000)
-
-        for _ in range(64):
-            sim.process(worker())
-        sim.run()
-        stats = sim.calendar_stats()
-        assert stats["max_batch"] >= 64
-        return sim.events_executed
-
-    events = benchmark(run)
-    assert events >= 64 * 300
-
-
-def test_overflow_heap_mixed_delays(benchmark):
-    """Mixed-delay regime: deterministic spread across L0/L1/overflow.
-
-    Delays are drawn uniformly in [0, ~33.5 ms) — twice the wheel horizon
-    — so placements split between wheel slots, level-1 buckets (with
-    their cascades) and the overflow heap, the worst case for the wheel
-    relative to a flat heap.
-    """
-
-    def run():
-        sim = Simulator()
-
-        def worker(seed):
-            state = seed
-            for _ in range(2000):
-                state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-                yield sim.timeout(state % 33_554_432)
-
-        for s in (1, 2, 3, 4):
-            sim.process(worker(s))
-        sim.run()
-        stats = sim.calendar_stats()
-        assert stats["l1_inserts"] > 0 and stats["overflow_inserts"] > 0
-        return sim.events_executed
-
-    events = benchmark(run)
-    assert events >= 4 * 2000
-
-
 def test_retransmit_timer_churn(benchmark):
     """Cancel-heavy regime: retransmit timers that almost always go stale.
 
     Models ``verbs/reliability.py``: every message arms a 500 µs timer,
     the ACK lands ~100 ns later, and the timer eventually fires as a
     stale no-op (generation check).  The calendar carries thousands of
-    pending far-future timers while near-future traffic churns through —
-    the flat heap paid O(log n) on that standing population for every
+    pending far-future timers while near-future traffic churns through,
+    and the heap pays O(log n) on that standing population for every
     operation.
     """
 
@@ -196,7 +140,7 @@ def test_real_bytes_indirect_blast_rate(benchmark):
 def _scale_incast(connections_per_sender: int, srq_depth, cq_shards,
                   bytes_per_sender: int = 32 * 1024,
                   message_bytes: int = 16 * 1024,
-                  kernel=None, audit: bool = False):
+                  audit: bool = False):
     """16-sender switched fan-in at scale, synthetic payloads.
 
     Synthetic mode (like the calendar benchmarks, unlike the real-bytes
@@ -216,7 +160,7 @@ def _scale_incast(connections_per_sender: int, srq_depth, cq_shards,
         options=ExsSocketOptions(real_data=False),
     )
     return run_incast(cfg, ScenarioConfig(
-        seed=1, srq_depth=srq_depth, cq_shards=cq_shards, kernel=kernel),
+        seed=1, srq_depth=srq_depth, cq_shards=cq_shards),
         audit=audit)
 
 
@@ -269,40 +213,19 @@ def test_incast_1k_connection_scale(benchmark):
     benchmark.extra_info["srq_min_free"] = result.srq_min_free
 
 
-def test_incast_1k_decoupled_kernel(benchmark):
-    """The same 1024-connection incast on the temporally decoupled kernel.
-
-    Per-host cells run their own calendars inside conservative lookahead
-    windows instead of interleaving through one global wheel.  The paired
-    row above (``test_incast_1k_connection_scale``) is the monolithic
-    baseline; this row must not regress relative to it.
-    """
-    result = benchmark.pedantic(
-        lambda: _scale_incast(64, srq_depth=8192, cq_shards=16,
-                              bytes_per_sender=16 * 1024, kernel="cells"),
-        rounds=2, iterations=1, warmup_rounds=0)
-    assert result.connections == 1024
-    assert result.switch_drops == 0
-    benchmark.extra_info["end_ns"] = result.end_ns
-    benchmark.extra_info["srq_min_free"] = result.srq_min_free
-    benchmark.extra_info["kernel"] = "cells"
-
-
-def test_incast_10k_decoupled_kernel(benchmark):
-    """10240-connection audited incast: the decoupled kernel's headline.
+def test_incast_10k_connection_scale(benchmark):
+    """10240-connection audited incast.
 
     16 senders × 640 connections of 4 KiB each through one switch, with
     the stream-semantics auditor on — every byte ordering and completion
     invariant is checked across all ten thousand connections.  This scale
-    is only tractable on the shared-resource path plus the per-cell
-    calendars; the monolithic wheel runs it ~15% slower (see
-    ``docs/SIMULATION.md``).
+    is only tractable on the shared-resource path (SRQ pool + CQ shards).
     """
     result = benchmark.pedantic(
         lambda: _scale_incast(640, srq_depth=65536, cq_shards=32,
                               bytes_per_sender=4 * 1024,
                               message_bytes=4 * 1024,
-                              kernel="cells", audit=True),
+                              audit=True),
         rounds=1, iterations=1, warmup_rounds=0)
     assert result.connections == 10240
     assert result.switch_drops == 0
@@ -310,7 +233,6 @@ def test_incast_10k_decoupled_kernel(benchmark):
     benchmark.extra_info["end_ns"] = result.end_ns
     benchmark.extra_info["srq_min_free"] = result.srq_min_free
     benchmark.extra_info["audit_violations"] = result.audit_violations
-    benchmark.extra_info["kernel"] = "cells"
 
 
 # ----------------------------------------------------------------------

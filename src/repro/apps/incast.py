@@ -127,10 +127,7 @@ def incast_topology(config: IncastConfig) -> Topology:
 
 
 def _sender_proc(handle, config: IncastConfig):
-    # Per-side wait: under the cells kernel this resumes the sender on its
-    # own host's calendar (handle.wait() fires wherever the second side of
-    # the handshake completes); on legacy kernels it IS handle.wait().
-    yield handle.wait_side("a")
+    yield handle.wait()
     stack = handle.fabric.stack(handle.a)
     sock, eq = handle.a_socket, handle.a_eq
     buf = stack.alloc(config.message_bytes, label=f"incast:{handle.a}:snd")
@@ -145,7 +142,7 @@ def _sender_proc(handle, config: IncastConfig):
 
 
 def _receiver_proc(handle, config: IncastConfig, finish: Dict[int, int], index: int):
-    yield handle.wait_side("b")
+    yield handle.wait()
     stack = handle.fabric.stack(handle.b)
     sock, eq = handle.b_socket, handle.b_eq
     buf = stack.alloc(config.message_bytes, label=f"incast:{handle.a}:rcv")
@@ -267,9 +264,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cq-shards", type=int, default=0)
     parser.add_argument("--audit", action="store_true",
                         help="record a protocol trace and re-verify invariants")
-    parser.add_argument("--kernel", default=None,
-                        choices=("legacy", "cells", "cells-lockstep", "decoupled"),
-                        help="event kernel (default: REPRO_KERNEL env, else legacy)")
     args = parser.parse_args(argv)
 
     config = IncastConfig(
@@ -282,7 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     scenario = ScenarioConfig(
         seed=args.seed, srq_depth=args.srq_depth, cq_shards=args.cq_shards,
-        kernel=args.kernel,
     )
     result = run_incast(config, scenario, audit=args.audit)
     print(json.dumps(result.to_dict(), indent=2))

@@ -15,7 +15,9 @@ Two determinism properties are load-bearing (and tested):
 
 * the same seed always produces bit-identical results, and
 * the ``("fifo", 0)`` policy is byte-identical to running with no policy
-  at all, so fuzzing is a strict generalisation of the default kernel.
+  at all: its tie-break is a constant, so the kernel's ``(time, tiebreak,
+  seq)`` keys order exactly like the plain ``(time, seq)`` keys, and
+  fuzzing is a strict generalisation of the default schedule.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ class ScenarioConfig:
     telemetry_dir: Optional[str] = None
     #: record the full causal DAG (kernel capture; enables critical-path
     #: attribution via :mod:`repro.obs.causal`).  Simulated results are
-    #: unchanged; the C kernel fast path is bypassed for the run.
+    #: unchanged.
     causal_capture: bool = False
     #: >0 keeps a bounded flight ring of that many fired events, dumped as
     #: JSON when a QP/connection fails (cheap always-on blackbox mode);
@@ -107,15 +107,6 @@ class ScenarioConfig:
     #: so devices poll O(shards), not O(connections); 0 keeps the
     #: historical per-connection engine loop (bit-identical)
     cq_shards: int = 0
-    #: event-kernel selection: ``None`` (the ``REPRO_KERNEL`` environment
-    #: variable, defaulting to the monolithic timing wheel), ``"wheel"``,
-    #: ``"heap"``, ``"cells"``/``"decoupled"`` (per-host calendars executed
-    #: in conservative lookahead windows; see :mod:`repro.simnet.cells`),
-    #: or ``"cells-lockstep"`` (the cells calendar in strict global order —
-    #: the bit-identical reference the determinism suite compares against).
-    #: Cells kernels need a switched topology and fall back to the
-    #: monolithic wheel otherwise (see docs/SIMULATION.md for the matrix).
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.profile, str) and self.profile not in PROFILES:
@@ -135,11 +126,6 @@ class ScenarioConfig:
             raise ValueError("srq_depth must be positive (or None)")
         if self.cq_shards < 0:
             raise ValueError("cq_shards must be >= 0")
-        if self.kernel not in (None, "wheel", "heap", "cells", "decoupled", "cells-lockstep"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r} (expected 'wheel', 'heap', "
-                "'cells'/'decoupled', or 'cells-lockstep')"
-            )
         if self.schedule is not None:
             # normalize to a plain (kind, seed) tuple and validate eagerly
             if isinstance(self.schedule, SchedulePolicy):
@@ -213,7 +199,6 @@ class ScenarioConfig:
             "max_events": self.max_events,
             "srq_depth": self.srq_depth,
             "cq_shards": self.cq_shards,
-            "kernel": self.kernel,
         }
 
     @classmethod
@@ -243,5 +228,4 @@ class ScenarioConfig:
             max_events=data.get("max_events"),
             srq_depth=data.get("srq_depth"),
             cq_shards=int(data.get("cq_shards", 0)),
-            kernel=data.get("kernel"),
         )

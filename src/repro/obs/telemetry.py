@@ -290,25 +290,15 @@ class Telemetry:
     def _collect_kernel(self) -> Dict[str, float]:
         """Event-calendar kernel counters, from :meth:`Simulator.calendar_stats`.
 
-        Pure reads — sampling never perturbs the calendar.  Non-numeric
-        fields (``backend``) and absent ones (``next_time`` on an empty
-        calendar) are skipped; two derived rates are added: mean events per
-        same-instant batch and the timeout-freelist hit rate.
+        Pure reads — sampling never perturbs the calendar.  Absent fields
+        (``next_time`` on an empty calendar) are skipped; the
+        timeout-freelist hit rate is added as a derived rate.
         """
         stats = self.sim.calendar_stats()
         out: Dict[str, float] = {}
         for key, value in stats.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 out[f"kernel.{key}"] = value
-        # decoupled kernel: per-cell calendars surface their own horizon,
-        # queue depth, grant window and cross-cell merge counters
-        for cell, fields in (stats.get("cells") or {}).items():
-            for key, value in fields.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    out[f"kernel.cell.{cell}.{key}"] = value
-        batches = stats.get("batches", 0)
-        if batches:
-            out["kernel.events_per_batch"] = stats["batched_events"] / batches
         t_allocs = stats.get("timeout_allocs", 0)
         t_reuses = stats.get("timeout_reuses", 0)
         if t_allocs + t_reuses:

@@ -3,7 +3,8 @@
 This subpackage is self-contained (no dependency on the RDMA layers above
 it) and provides:
 
-* :class:`~repro.simnet.kernel.Simulator` — the event calendar / clock.
+* :class:`~repro.simnet.kernel.Simulator` — the clock and its event
+  calendar: one flat heap drained by one loop (see docs/SIMULATION.md).
 * :class:`~repro.simnet.events.Event`, :class:`~repro.simnet.events.Timeout`,
   :class:`~repro.simnet.events.Signal`, :class:`~repro.simnet.events.AllOf`,
   :class:`~repro.simnet.events.AnyOf` — synchronisation primitives.

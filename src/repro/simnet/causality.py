@@ -10,22 +10,16 @@ the stack hits a fatal error.
 
 Design constraints (see docs/SIMULATION.md and docs/OBSERVABILITY.md):
 
-* **Capture off must stay bit-identical.**  Enabling capture rebinds the
-  per-instance ``schedule``/``call_in``/``timeout``/``step`` methods and
-  routes ``run()`` through the recording drains in this module; a simulator
-  that never calls :func:`enable_capture` executes exactly the code it did
-  before this module existed (the only change is an extra ``None`` slot).
-* **Capture on must not perturb the schedule.**  The recording wrappers
-  delegate to the same pure-Python placement paths the kernel uses, with
-  identical sequence-number consumption per backend (lazy in FIFO mode —
-  unobservable — and one seq per placement in policy/heap mode, exactly as
-  before).  The recording drains mirror their :mod:`repro.simnet._core`
-  counterparts' batch assembly, stop-time, max-events and restore logic;
-  the only difference is uniform dispatch through ``entry._run()`` (of
-  which the specialized drain bodies are pure optimizations) plus the
-  recorder bookkeeping.  The C accelerator is disabled for captured runs
-  (``sim._creg = None``); object pools are bypassed so every placement
-  carries a fresh ``_cid``.
+* **Capture off must stay bit-identical.**  Enabling capture switches the
+  simulator to a recording subclass (placements) and makes ``run()`` and
+  ``step()`` dispatch through :meth:`CausalRecorder.fire` (the one capture
+  hook, chosen once per ``run()``); a simulator that never calls
+  :func:`enable_capture` runs the plain kernel code.
+* **Capture on must not perturb the schedule.**  The recording overrides
+  delegate to the kernel's own placement path with identical
+  sequence-number consumption, and ``fire`` dispatches through
+  ``entry._run()`` exactly as the plain drain does.  The timeout freelist
+  is bypassed so every placement carries a fresh ``_cid``.
 
 The recorder itself is deliberately dumb and cheap: an integer id counter,
 a dict of nodes, and a bounded deque of fired nodes (the flight ring).
@@ -38,23 +32,14 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from heapq import heappop
 from typing import Any, Callable, Optional
 
-from ._core import (
-    CallbackEntry,
-    SimulationError,
-    next_batch_fifo,
-    next_batch_policy,
-    restore_fifo,
-    restore_policy,
-)
+from .kernel import CallbackEntry, SimulationError, Simulator
 
 __all__ = [
     "CausalNode",
     "CausalRecorder",
     "enable_capture",
-    "drain_record",
     "FLIGHT_SCHEMA",
 ]
 
@@ -162,6 +147,20 @@ class CausalRecorder:
         self.nodes[cid] = CausalNode(cid, self.current, category, sched_ns)
         return cid
 
+    def fire(self, entry, now: int) -> None:
+        """Dispatch one calendar entry, bracketed by recorder bookkeeping.
+
+        The kernel's capture hook: ``Simulator.run``/``step`` call this
+        instead of ``entry._run()`` when capture is on.
+        """
+        cid = getattr(entry, "_cid", -1)
+        self.on_fire(cid, now)
+        self.current = cid
+        try:
+            entry._run()
+        finally:
+            self.current = -1
+
     def on_fire(self, cid: int, fire_ns: int) -> None:
         node = self.nodes.get(cid)
         if node is None:
@@ -254,258 +253,55 @@ def _slug(text: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# capture enablement: rebind the per-instance placement methods
+# capture enablement: a recording subclass for the placement methods
 # ----------------------------------------------------------------------
+class _CapturingSimulator(Simulator):
+    """A :class:`Simulator` whose placements record causal nodes.
+
+    :func:`enable_capture` switches a simulator's class to this one, so
+    uncaptured simulators run the plain placement methods untouched.  Each
+    override tags the entry with a fresh node id and then places it
+    exactly as the base method does (same sequence-number consumption),
+    so the schedule is identical.  Timeouts bypass the freelist so every
+    placement carries its own ``_cid``.
+    """
+
+    __slots__ = ()
+
+    def schedule(self, event, delay: int = 0) -> None:
+        cls = type(event)
+        if cls is self._timeout_cls:
+            cat = "timeout"
+        elif cls is self._process_cls:
+            cat = "process"
+        else:
+            cat = "event"
+        event._cid = self._recorder.on_schedule(cat, self._now)
+        Simulator.schedule(self, event, delay)
+
+    def call_in(self, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
+        e = CallbackEntry(fn, arg)
+        e._cid = self._recorder.on_schedule(
+            _CALL_CATEGORIES.get(getattr(fn, "__name__", ""), "call"), self._now
+        )
+        Simulator.schedule(self, e, delay)
+
+    def timeout(self, delay: int, value: Any = None):
+        # Timeout.__init__ calls self.schedule, i.e. the override above
+        return self._timeout_cls(self, delay, value)
+
+
 def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
     """Route every placement on *sim* through *recorder*.
 
     Must be called before the simulation starts (an already-pending
-    calendar would hold untagged entries).  Idempotent per simulator is
-    not supported — enable once, at testbed construction.
+    calendar would hold untagged entries).  Enable once per simulator,
+    at testbed construction.
     """
     if sim._recorder is not None:
         raise SimulationError("causality capture already enabled on this simulator")
     if sim.peek() is not None:
         raise SimulationError("enable_capture requires an empty calendar")
     sim._recorder = recorder
-    # The C register drain bypasses Python dispatch entirely; captured
-    # runs take the recording drains below instead.
-    sim._creg = None
-
-    backend = sim._backend
-    if backend == "heap":
-        base_schedule = sim._schedule_heap
-    elif sim._tiebreak is None:
-        base_schedule = sim._schedule_wheel
-    else:
-        base_schedule = sim._schedule_policy_wheel
-    timeout_cls = sim._timeout_cls
-    process_cls = sim._process_cls
-    on_schedule = recorder.on_schedule
-    call_cats = _CALL_CATEGORIES
-
-    def schedule(event, delay: int = 0) -> None:
-        cls = type(event)
-        if cls is timeout_cls:
-            cat = "timeout"
-        elif cls is process_cls:
-            cat = "process"
-        else:
-            cat = "event"
-        event._cid = on_schedule(cat, sim._now)
-        base_schedule(event, delay)
-
-    def call_in(delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        e = CallbackEntry(fn, arg)
-        e._cid = on_schedule(
-            call_cats.get(getattr(fn, "__name__", ""), "call"), sim._now
-        )
-        base_schedule(e, delay)
-
-    def timeout(delay: int, value: Any = None):
-        # Fresh object per placement (no freelist) so the _cid tag is unique;
-        # Timeout.__init__ calls sim.schedule, i.e. the wrapper above.
-        return timeout_cls(sim, delay, value)
-
-    def step() -> None:
-        _step_record(sim, recorder)
-
-    sim.schedule = schedule
-    sim.call_in = call_in
-    sim.timeout = timeout
-    sim.step = step
+    sim.__class__ = _CapturingSimulator
     return recorder
-
-
-# ----------------------------------------------------------------------
-# recording dispatch
-# ----------------------------------------------------------------------
-def _fire(rec: CausalRecorder, e, now: int) -> None:
-    """Dispatch one entry, bracketed by recorder bookkeeping.
-
-    Uniform ``e._run()`` dispatch: the specialized Timeout/Process/
-    CallbackEntry bodies in the production drains are pure optimizations
-    of ``_run`` (same callbacks in the same order), so recording runs
-    replay the identical schedule.
-    """
-    cid = getattr(e, "_cid", -1)
-    rec.on_fire(cid, now)
-    rec.current = cid
-    try:
-        e._run()
-    finally:
-        rec.current = -1
-
-
-def drain_record(sim, stop, max_events) -> None:
-    """Backend-dispatching drain for captured runs (selected by ``run()``)."""
-    rec = sim._recorder
-    if sim._backend == "heap":
-        _drain_record_heap(sim, stop, max_events, rec)
-    elif sim._tiebreak is not None:
-        _drain_record_policy(sim, stop, max_events, rec)
-    else:
-        _drain_record_fifo(sim, stop, max_events, rec)
-
-
-def _drain_record_fifo(sim, stop, max_events, rec) -> None:
-    """Recording twin of :func:`repro.simnet._core.drain_fifo_gated`."""
-    n = 0
-    n0 = sim.events_executed
-    try:
-        while True:
-            e = sim._single
-            if e is not None:
-                when = sim._single_when
-                if when > stop:
-                    sim._now = stop
-                    return
-                sim._single = None
-                sim._now = when
-                n += 1
-                _fire(rec, e, when)
-                if n >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                continue
-            got = next_batch_fifo(sim)
-            if got is None:
-                return
-            t, ls = got
-            if t > stop:
-                restore_fifo(sim, t, ls, 0)
-                sim._now = stop
-                return
-            sim._now = t
-            sim._base = t
-            sim.events_executed = n0 + n
-            sim._batch = ls
-            sim._batch_time = t
-            sim._reg_free = False
-            sim._bi = 0
-            i = 0
-            blen = len(ls)
-            try:
-                while True:
-                    e = ls[i]
-                    ls[i] = None
-                    i += 1
-                    sim._bi = i
-                    n += 1
-                    _fire(rec, e, t)
-                    if n >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    if i == blen:
-                        blen = len(ls)
-                        if i == blen:
-                            break
-            except BaseException:
-                restore_fifo(sim, t, ls, i)
-                raise
-            sim._batch = None
-            sim._reg_free = not sim._nstruct
-            sim._batches += 1
-            sim._batched_events += i
-            if i > sim._max_batch:
-                sim._max_batch = i
-    finally:
-        sim.events_executed = n0 + n
-
-
-def _drain_record_policy(sim, stop, max_events, rec) -> None:
-    """Recording twin of :func:`repro.simnet._core.drain_policy`."""
-    n = 0
-    n0 = sim.events_executed
-    try:
-        while True:
-            got = next_batch_policy(sim)
-            if got is None:
-                return
-            t, ls = got
-            if t > stop:
-                restore_policy(sim, t, ls)
-                sim._now = stop
-                return
-            sim._now = t
-            sim._base = t
-            sim.events_executed = n0 + n
-            sim._pol_batch = ls
-            sim._batch_time = t
-            k0 = n
-            try:
-                while ls:
-                    e = heappop(ls)[2]
-                    n += 1
-                    _fire(rec, e, t)
-                    if n >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-            except BaseException:
-                restore_policy(sim, t, ls)
-                raise
-            sim._pol_batch = None
-            sim._batches += 1
-            sim._batched_events += n - k0
-            if n - k0 > sim._max_batch:
-                sim._max_batch = n - k0
-    finally:
-        sim.events_executed = n0 + n
-
-
-def _drain_record_heap(sim, stop, max_events, rec) -> None:
-    """Recording twin of :func:`repro.simnet._core.drain_heap`."""
-    queue = sim._queue
-    n = 0
-    while queue:
-        when = queue[0][0]
-        if when > stop:
-            sim._now = stop
-            return
-        e = heappop(queue)[-1]
-        if when < sim._now:  # pragma: no cover - defensive, as _step_heap
-            raise SimulationError("event calendar corrupted: time went backwards")
-        sim._now = when
-        sim.events_executed += 1
-        _fire(rec, e, when)
-        n += 1
-        if n >= max_events:
-            raise SimulationError(f"exceeded max_events={max_events}")
-
-
-def _step_record(sim, rec) -> None:
-    """Single-step a captured simulator (any backend)."""
-    if sim._backend == "heap":
-        queue = sim._queue
-        item = heappop(queue)  # IndexError on empty, as before
-        when, e = item[0], item[-1]
-        sim._now = when
-        sim.events_executed += 1
-        _fire(rec, e, when)
-        return
-    e = sim._single
-    if e is not None:
-        sim._single = None
-        sim._now = sim._single_when
-        sim.events_executed += 1
-        _fire(rec, e, sim._now)
-        return
-    if sim._tiebreak is None:
-        got = next_batch_fifo(sim)
-        if got is None:
-            raise IndexError("step on an empty calendar")
-        t, ls = got
-        e = ls[0]
-        sim._base = t
-        restore_fifo(sim, t, ls, 1)
-        sim._now = t
-        sim.events_executed += 1
-        _fire(rec, e, t)
-        return
-    got = next_batch_policy(sim)
-    if got is None:
-        raise IndexError("step on an empty calendar")
-    t, ls = got
-    e = heappop(ls)[2]
-    sim._base = t
-    restore_policy(sim, t, ls)
-    sim._now = t
-    sim.events_executed += 1
-    _fire(rec, e, t)

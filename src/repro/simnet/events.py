@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from ._core import _PROCESSED
-from .kernel import SimulationError, Simulator
+from .kernel import _PROCESSED, SimulationError, Simulator
 
 __all__ = ["Event", "Timeout", "AllOf", "AnyOf", "Signal"]
 
@@ -44,14 +43,12 @@ class Event:
 
     Events (and their subclasses) use ``__slots__``: they are the most
     numerous objects in a simulation and dropping the per-instance dict
-    measurably cuts both allocation time and memory traffic.  ``_seq`` is
-    owned by the kernel — the calendar's FIFO tie-break key, assigned when
-    the event enters the wheel structures.
+    measurably cuts both allocation time and memory traffic.
     """
 
     # _cid is written only under causality capture (see simnet.causality);
     # in normal runs the slot exists but is never assigned or read.
-    __slots__ = ("sim", "_cb1", "_cbs", "_value", "_ok", "_seq", "_cid")
+    __slots__ = ("sim", "_cb1", "_cbs", "_value", "_ok", "_cid")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim

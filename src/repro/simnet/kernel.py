@@ -10,82 +10,45 @@ that event ordering is exact and runs are bit-for-bit reproducible.
   generator ``yield``\\ s events and is resumed when they trigger, which gives
   cooperative "threads" inside the simulation.
 
-Ties in the calendar are broken by a monotonically increasing sequence
-number, so two events scheduled for the same instant fire in the order they
-were scheduled.  This determinism is essential: the protocol under study is
+The calendar is one flat binary heap of ``(time, seq, entry)`` tuples.
+Ties are broken by a monotonically increasing sequence number, so two
+events scheduled for the same instant fire in the order they were
+scheduled.  This determinism is essential: the protocol under study is
 sensitive to message/completion races and we want those races to be
 *simulated*, not to depend on Python hash ordering.  A
-:class:`~repro.simnet.schedule.SchedulePolicy` may re-key those same-instant
-ties (seeded-random interleavings for the conformance fuzzer); events at
-different timestamps are never reordered.
-
-Calendar backends
------------------
-The default calendar is a **hierarchical timing wheel** (see
-:mod:`repro.simnet._core` and docs/SIMULATION.md): a one-entry register for
-the empty-calendar fast path, 4096 × 1 ns level-0 slots, 4096 × 4096 ns
-level-1 buckets that cascade into level 0, and a small overflow heap beyond
-the ~16.8 ms horizon.  All entries that fire at the same instant are
-drained as one *batch* — one clock update, one loop, one heap op per
-distinct time.  The pre-wheel flat ``heapq`` calendar is kept as a
-fallback, selected with ``Simulator(calendar="heap")`` or the
-``REPRO_KERNEL=heap`` environment escape hatch; both backends produce
-identical event orderings (property-tested in
-tests/simnet/test_timing_wheel.py).
+:class:`~repro.simnet.schedule.SchedulePolicy` re-keys those same-instant
+ties as ``(time, tiebreak, seq, entry)`` (seeded-random interleavings for
+the conformance fuzzer); events at different timestamps are never
+reordered.
 
 Performance notes (this kernel is the host-side bottleneck of every
 experiment):
 
-* ``run()`` branches **once** on backend/policy/gating and selects a
-  specialized drain loop from :mod:`repro.simnet._core`; the per-event
-  path has no tracing or policy checks.
-* ``schedule``/``call_in``/``timeout``/``step``/``peek`` are bound per
-  instance at construction (one backend branch for the whole lifetime,
-  and callers skip the descriptor protocol).
-* :meth:`Simulator.call_in` places a slotted
-  :class:`~repro.simnet._core.CallbackEntry` that invokes ``fn(arg)``
-  directly, bypassing the full Event protocol — used by the hot delivery
-  paths (link arrivals, transport ACKs) which never have external
-  waiters.  Entries are recycled through a freelist unconditionally.
+* ``run()`` drains the heap in one loop that pops, dispatches and
+  recycles inline — no per-event method call.
+* :meth:`Simulator.call_in` places a slotted :class:`CallbackEntry` that
+  invokes ``fn(arg)`` directly, bypassing the full Event protocol — used
+  by the hot delivery paths (link arrivals, transport ACKs) which never
+  have external waiters.
 * :meth:`Simulator.timeout` recycles
-  :class:`~repro.simnet.events.Timeout` objects through a freelist (a
-  single-slot stash in front of a bounded pool).  A timeout is returned
-  to the pool only when the kernel can prove (via the CPython reference
-  count) that nothing else holds it, so the reuse is invisible to user
-  code that keeps a reference.
+  :class:`~repro.simnet.events.Timeout` objects through a bounded
+  freelist.  A timeout is returned to the pool only when the kernel can
+  prove (via the CPython reference count) that nothing else holds it, so
+  the reuse is invisible to user code that keeps a reference.
 * The :attr:`Simulator.tracing` flag lets hot call sites skip building
   trace strings entirely when no trace hook is installed.
+
+Causal capture (:mod:`repro.simnet.causality`) swaps in a recording
+subclass for the placement methods and enters dispatch through one hook,
+:meth:`~repro.simnet.causality.CausalRecorder.fire`, chosen once per
+``run()``.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
-
-from . import _accel
-from ._core import (
-    CBE_POOL_MAX,
-    INF,
-    TIMEOUT_POOL_MAX,
-    CallbackEntry,
-    SimulationError,
-    StopSimulation,
-    drain_fifo,
-    drain_fifo_gated,
-    drain_heap,
-    drain_policy,
-    insert,
-    insert_policy,
-    next_batch_fifo,
-    next_batch_policy,
-    peek_structures,
-    restore_fifo,
-    restore_policy,
-    S0_SIZE,
-    S1_SIZE,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import Event
@@ -93,8 +56,65 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Simulator", "SimulationError", "StopSimulation", "CallbackEntry"]
 
-#: kept for back-compat with code importing the constant from here
-_TIMEOUT_POOL_MAX = TIMEOUT_POOL_MAX
+INF = float("inf")
+
+#: maximum number of recycled Timeout objects kept per simulator
+TIMEOUT_POOL_MAX = 512
+
+
+class SimulationError(RuntimeError):
+    """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
+
+
+class StopSimulation(Exception):
+    """Internal signal used by :meth:`Simulator.run` to stop at a target event."""
+
+
+def _processed_marker(_event):
+    """Sentinel stored in ``Event._cb1`` once callbacks ran.
+
+    It is a no-op *callable* so that the pathological double-schedule of
+    one event dispatches as a silent no-op.
+    """
+    return None
+
+
+_PROCESSED = _processed_marker
+
+
+class CallbackEntry:
+    """A minimal calendar entry: runs ``fn(arg)`` when its time comes.
+
+    Unlike an :class:`~repro.simnet.events.Event` it has no value, no
+    callbacks and cannot be waited on — it exists so that one-shot
+    deliveries (a message arriving at a link handler, an ACK reaching
+    its device) cost one small allocation instead of an Event, a
+    bound-method list and a closure.
+    """
+
+    # _cid is written only under causality capture (see simnet.causality)
+    __slots__ = ("fn", "arg", "_cid")
+
+    def __init__(self, fn: Callable[[Any], None], arg: Any) -> None:
+        self.fn = fn
+        self.arg = arg
+
+    def _run(self) -> None:
+        self.fn(self.arg)
+
+
+def _checked_delay(delay: Any) -> int:
+    """Validate a delay that failed the ``type(delay) is int and delay >= 0``
+    fast check: accept int subclasses other than ``bool``, reject the rest.
+
+    Type errors are reported before range errors, so a float delay gets
+    the "must be an int" message, not the negative one.
+    """
+    if isinstance(delay, bool) or not isinstance(delay, int):
+        raise SimulationError(f"delay must be an int number of ns, got {type(delay).__name__}")
+    if delay < 0:
+        raise SimulationError(f"cannot schedule in the past (delay={delay})")
+    return int(delay)
 
 
 class Simulator:
@@ -110,27 +130,18 @@ class Simulator:
     schedule_policy:
         Optional :class:`~repro.simnet.schedule.SchedulePolicy` re-keying
         same-timestamp ties.  ``None`` (the default) keeps the plain FIFO
-        order; a policy orders each same-instant batch by
+        order; a policy orders each instant's entries by
         ``(tiebreak, seq)``.  ``FifoPolicy`` reproduces the default order
         bit for bit.
-    calendar:
-        Calendar backend: ``"wheel"`` (hierarchical timing wheel, the
-        default) or ``"heap"`` (the flat-heap fallback).  ``None`` reads
-        the ``REPRO_KERNEL`` environment variable, so a whole run — CI
-        included — can be flipped to the fallback without code changes.
-
-    Note: ``schedule``, ``call_in``, ``timeout``, ``step`` and ``peek``
-    are instance attributes bound at construction to the selected
-    backend's implementation.
     """
 
-    # Slotted: the drain loops and schedule/timeout fast paths touch a
-    # dozen simulator attributes per event, and slot access is measurably
-    # cheaper than dict access.  (Also catches typo'd attribute writes.)
+    # Slotted: the drain loop and the placement methods touch several
+    # simulator attributes per event, and slot access is cheaper than dict
+    # access.  (Also catches typo'd attribute writes.)
     __slots__ = (
         "_now",
         "_seq",
-        "_policy",
+        "_queue",
         "_tiebreak",
         "_trace",
         "tracing",
@@ -138,53 +149,10 @@ class Simulator:
         "_event_cls",
         "_timeout_cls",
         "_process_cls",
-        "_proc_finish",
         "_timeout_pool",
-        "_stash",
-        "_cbe_pool",
-        "_batches",
-        "_batched_events",
-        "_max_batch",
-        "_cascades",
-        "_l0_inserts",
-        "_l1_inserts",
-        "_hq_inserts",
         "_timeout_allocs",
         "_timeout_reuses",
-        "_cbe_allocs",
-        "_cbe_reuses",
-        "_backend",
-        "_queue",
-        # per-instance backend method bindings
-        "schedule",
-        "call_in",
-        "timeout",
-        "step",
-        "peek",
-        # wheel structures
-        "_reg_free",
-        "_single",
-        "_single_when",
-        "_slots0",
-        "_slots1",
-        "_t0",
-        "_t1",
-        "_hq",
-        "_dirty",
-        "_base",
-        "_nstruct",
-        "_batch",
-        "_batch_time",
-        "_bi",
-        "_pol_batch",
-        # optional C accelerator (see _accel.py): register-regime drain
-        # bound per instance, plus its partial-count handoff slot and the
-        # same-instant batch dispatcher
-        "_creg",
-        "_creg_n",
-        "_cbatch",
-        # optional causality recorder (see causality.py); None when capture
-        # is off, in which case no code path in this module reads it
+        # causality recorder (see causality.py); None when capture is off
         "_recorder",
     )
 
@@ -193,111 +161,29 @@ class Simulator:
         trace: Optional[Callable[[int, str, str], None]] = None,
         *,
         schedule_policy=None,
-        calendar: Optional[str] = None,
     ) -> None:
         self._now: int = 0
         self._seq: int = 0
-        self._policy = schedule_policy
+        self._queue: list = []
         self._tiebreak = schedule_policy.tiebreak if schedule_policy is not None else None
         self._trace = trace
         #: True when a trace hook is installed; guards f-string construction
         #: at call sites (the guarded-trace discipline).
         self.tracing: bool = trace is not None
-        #: number of events executed so far (useful for runaway detection).
-        #: The wheel backend syncs this at batch boundaries and run() exit,
-        #: not per event — see :meth:`calendar_stats`.
+        #: number of events executed so far (useful for runaway detection)
         self.events_executed: int = 0
-        # Classes/helpers resolved here, at construction time, to avoid a
-        # circular import at module load (events.py imports this module).
+        # Classes resolved here, at construction time, to avoid a circular
+        # import at module load (events.py imports this module).
         from .events import Event, Timeout
-        from .process import Process, _finish_process
+        from .process import Process
 
         self._event_cls = Event
         self._timeout_cls = Timeout
         self._process_cls = Process
-        self._proc_finish = _finish_process
-        # freelists
         self._timeout_pool: list = []
-        self._stash = None  # single-slot fast tier in front of _timeout_pool
-        self._cbe_pool: list = []
-        # counters (see calendar_stats)
-        self._batches = 0
-        self._batched_events = 0
-        self._max_batch = 0
-        self._cascades = 0
-        self._l0_inserts = 0
-        self._l1_inserts = 0
-        self._hq_inserts = 0
         self._timeout_allocs = 0
         self._timeout_reuses = 0
-        self._cbe_allocs = 0
-        self._cbe_reuses = 0
-        self._creg = None
-        self._creg_n = 0
-        self._cbatch = None
         self._recorder = None
-
-        if calendar is None:
-            calendar = os.environ.get("REPRO_KERNEL") or "wheel"
-            if calendar in ("cells", "decoupled", "cells-lockstep"):
-                # The cells kernel needs a topology to derive its lookahead
-                # table from, so only Fabric can construct a CellSimulator;
-                # a plain Simulator under REPRO_KERNEL=cells keeps the wheel.
-                calendar = "wheel"
-        if calendar not in ("wheel", "heap"):
-            raise SimulationError(
-                f"unknown calendar backend {calendar!r} (expected 'wheel' or 'heap')"
-            )
-        self._backend = calendar
-        if calendar == "heap":
-            self._queue: list[tuple] = []
-            self.schedule = self._schedule_heap
-            self.call_in = self._call_in_heap
-            self.timeout = self._timeout_heap
-            self.step = self._step_heap
-            self.peek = self._peek_heap
-            return
-        # timing-wheel state (see _core module docstring for the layout)
-        self._reg_free = True
-        self._single = None
-        self._single_when = 0
-        self._slots0: list = [None] * S0_SIZE
-        self._slots1: list = [None] * S1_SIZE
-        self._t0: list = []
-        self._t1: list = []
-        self._hq: list = []
-        self._dirty = bytearray(S0_SIZE)
-        self._base = 0
-        self._nstruct = 0
-        self._batch = None
-        self._batch_time = -1
-        self._bi = 0
-        self._pol_batch = None
-        if self._tiebreak is None:
-            self.schedule = self._schedule_wheel
-            self.call_in = self._call_in_wheel
-            self.timeout = self._timeout_wheel
-            # Optional C accelerator for the FIFO wheel: a compiled
-            # `timeout` fast path and register-regime drain, bound per
-            # instance.  Exact Simulator only — a subclass overriding the
-            # slow paths must keep the pure bindings.
-            if type(self) is Simulator:
-                accel = _accel.load()
-                if accel is not None:
-                    self.timeout = accel.bind_timeout(self)
-                    self._creg = accel.bind_reg_drain(self)
-                    self._cbatch = accel.bind_batch_run(self)
-        else:
-            self.schedule = self._schedule_policy_wheel
-            self.call_in = self._call_in_policy_wheel
-            self.timeout = self._timeout_policy_wheel
-        self.step = self._step_wheel
-        self.peek = self._peek_wheel
-
-    #: True on :class:`~repro.simnet.cells.CellSimulator`; lets call sites
-    #: (connection handshakes, apps) pick cells-safe waiting without
-    #: importing the cells module.
-    is_cells = False
 
     # ------------------------------------------------------------------
     # clock
@@ -308,427 +194,82 @@ class Simulator:
         return self._now
 
     # ------------------------------------------------------------------
-    # cells-kernel compatibility surface (see repro.simnet.cells)
+    # scheduling
     # ------------------------------------------------------------------
-    def call_in_cell(self, cell: int, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Schedule ``fn(arg)`` in a specific cell.
-
-        On the monolithic kernel there is only one calendar, so the cell
-        index is ignored; cross-cell call sites (link deliveries, device
-        ACKs) can route unconditionally.
-        """
-        self.call_in(delay, fn, arg)
-
-    def defer_control(self, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Run ``fn(arg)`` now.
-
-        The cells kernel defers the call to the control cell at the
-        current instant (a deterministic rendezvous after every cell has
-        finished it); the monolithic kernel is that rendezvous already,
-        so this is a direct call — bit-identical to call sites simply
-        invoking ``fn(arg)`` themselves.
-        """
-        fn(arg)
-
-    # ------------------------------------------------------------------
-    # scheduling — wheel backend, FIFO
-    # ------------------------------------------------------------------
-    def _schedule_wheel(self, event: "Event", delay: int = 0) -> None:
+    def schedule(self, event: "Event", delay: int = 0) -> None:
         """Place *event* on the calendar ``delay`` nanoseconds from now.
 
         ``delay`` must be a non-negative integer (``bool`` is rejected —
         ``schedule(ev, True)`` is always a bug, not a 1 ns delay).  The
         event fires after all events already scheduled for the same instant.
         """
-        # Fast path: valid delay onto an empty calendar → park in the
-        # register.  Any guard failure (including bad delay) detours to
-        # the slow path, which re-checks everything and raises properly.
-        if type(delay) is int and 0 <= delay and self._reg_free and self._single is None:
-            self._single = event
-            self._single_when = self._now + delay
-            return
-        self._schedule_wheel_slow(event, delay)
-
-    def _schedule_wheel_slow(self, event: "Event", delay: int) -> None:
-        if type(delay) is not int:
-            # Type errors are reported before range errors so that a float
-            # delay gets the "must be an int" message, not the negative one.
-            if isinstance(delay, bool) or not isinstance(delay, int):
-                raise SimulationError(
-                    f"delay must be an int number of ns, got {type(delay).__name__}"
-                )
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if type(delay) is not int or delay < 0:
+            delay = _checked_delay(delay)
+        self._seq = seq = self._seq + 1
         when = self._now + delay
-        b = self._batch
-        if b is not None and when == self._batch_time:
-            b.append(event)  # joins the live batch, after everything in it
-            return
-        s = self._single
-        if s is None:
-            if self._nstruct == 0 and b is None:
-                self._single = event
-                self._single_when = when
-                return
+        tiebreak = self._tiebreak
+        if tiebreak is None:
+            heappush(self._queue, (when, seq, event))
         else:
-            # second pending entry: spill the register into the structures
-            self._single = None
-            self._base = self._now  # structures are empty; re-anchor freely
-            seq = self._seq + 1
-            self._seq = seq
-            s._seq = seq
-            insert(self, self._single_when, s)
-        seq = self._seq + 1
-        self._seq = seq
-        event._seq = seq
-        insert(self, when, event)
+            heappush(self._queue, (when, tiebreak(when, seq), seq, event))
 
-    def _call_in_wheel(self, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
+    def call_in(self, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` to run ``delay`` ns from now.
 
         The fast path for fire-and-forget deliveries: no Event object is
         created and the callable runs straight off the calendar.  Ordering
         relative to events scheduled for the same instant follows the usual
-        sequence-number tie-break.
+        sequence-number tie-break; ``delay`` is validated as in
+        :meth:`schedule`.
         """
-        if type(delay) is int and 0 <= delay and self._reg_free and self._single is None:
-            pool = self._cbe_pool
-            if pool:
-                e = pool.pop()
-                e.fn = fn
-                e.arg = arg
-            else:
-                e = CallbackEntry(fn, arg)
-                self._cbe_allocs += 1
-            self._single = e
-            self._single_when = self._now + delay
-            return
-        self._call_in_wheel_slow(delay, fn, arg)
-
-    def _call_in_wheel_slow(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
-        if type(delay) is not int:
-            if isinstance(delay, bool) or not isinstance(delay, int):
-                raise SimulationError(
-                    f"delay must be an int number of ns, got {type(delay).__name__}"
-                )
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        pool = self._cbe_pool
-        if pool:
-            e = pool.pop()
-            e.fn = fn
-            e.arg = arg
-            self._cbe_reuses += 1
-        else:
-            e = CallbackEntry(fn, arg)
-            self._cbe_allocs += 1
+        if type(delay) is not int or delay < 0:
+            delay = _checked_delay(delay)
+        self._seq = seq = self._seq + 1
         when = self._now + delay
-        b = self._batch
-        if b is not None and when == self._batch_time:
-            b.append(e)
-            return
-        s = self._single
-        if s is None:
-            if self._nstruct == 0 and b is None:
-                self._single = e
-                self._single_when = when
-                return
+        tiebreak = self._tiebreak
+        if tiebreak is None:
+            heappush(self._queue, (when, seq, CallbackEntry(fn, arg)))
         else:
-            self._single = None
-            self._base = self._now
-            seq = self._seq + 1
-            self._seq = seq
-            s._seq = seq
-            insert(self, self._single_when, s)
-        seq = self._seq + 1
-        self._seq = seq
-        e._seq = seq
-        insert(self, when, e)
+            heappush(self._queue, (when, tiebreak(when, seq), seq, CallbackEntry(fn, arg)))
 
-    def _timeout_wheel(self, delay: int, value: Any = None) -> "Event":
+    def timeout(self, delay: int, value: Any = None) -> "Event":
         """Return an event that fires ``delay`` ns from now with ``value``.
 
         Timeouts are the dominant allocation of process-driven loops, so
         this goes through the freelist when possible.  Recycled timeouts
         arrive with ``_ok`` True and ``_cbs`` None by construction (only
-        dispatched, succeeded timeouts are pooled), so only ``delay``,
-        ``_value`` and ``_cb1`` need resetting.
-
-        Stash hits on the empty-calendar register fast path below are not
-        individually counted — an integer increment there costs as much
-        as the rest of the path — so ``timeout_reuses`` undercounts in
-        single-chain microbenchmarks.  Under real workloads the calendar
-        is non-empty, placements take the slow path, and the counter is
-        exact; see :meth:`calendar_stats`.
+        dispatched timeouts are pooled), so only ``delay``, ``_value`` and
+        ``_cb1`` need resetting.
         """
-        t = self._stash
-        if t is not None and type(delay) is int and 0 <= delay and self._reg_free and self._single is None:
-            self._stash = None
-            t.delay = delay
-            t._value = value
-            t._cb1 = None
-            self._single = t
-            self._single_when = self._now + delay
-            return t
-        return self._timeout_wheel_slow(delay, value)
-
-    def _timeout_wheel_slow(self, delay: int, value: Any) -> "Event":
-        t = self._stash
-        if t is not None:
-            self._stash = None
-        else:
-            pool = self._timeout_pool
-            if not pool:
-                if delay < 0:
-                    raise SimulationError(f"negative timeout: {delay}")
-                self._timeout_allocs += 1
-                return self._timeout_cls(self, delay, value)
-            t = pool.pop()
-        if delay < 0:
-            self._timeout_pool.append(t)
-            raise SimulationError(f"negative timeout: {delay}")
-        if type(delay) is not int:
-            if isinstance(delay, bool) or not isinstance(delay, int):
-                self._timeout_pool.append(t)
-                raise SimulationError(
-                    f"delay must be an int number of ns, got {type(delay).__name__}"
-                )
-        self._timeout_reuses += 1
-        t.delay = delay
-        t._value = value
-        t._cb1 = None
-        when = self._now + delay
-        b = self._batch
-        if b is not None and when == self._batch_time:
-            b.append(t)
-            return t
-        s = self._single
-        if s is None:
-            if self._nstruct == 0 and b is None:
-                self._single = t
-                self._single_when = when
-                return t
-        else:
-            self._single = None
-            self._base = self._now
-            seq = self._seq + 1
-            self._seq = seq
-            s._seq = seq
-            insert(self, self._single_when, s)
-        seq = self._seq + 1
-        self._seq = seq
-        t._seq = seq
-        insert(self, when, t)
-        return t
-
-    # ------------------------------------------------------------------
-    # scheduling — wheel backend, policy mode
-    # ------------------------------------------------------------------
-    # Policy tie-break keys hash (time, seq), so seq advances on *every*
-    # placement — identical values to the flat-heap kernel — and there is
-    # no register fast path (entries go straight to the keyed structures).
-
-    def _schedule_policy_wheel(self, event: "Event", delay: int = 0) -> None:
-        if type(delay) is not int:
-            if isinstance(delay, bool) or not isinstance(delay, int):
-                raise SimulationError(
-                    f"delay must be an int number of ns, got {type(delay).__name__}"
-                )
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        seq = self._seq + 1
-        self._seq = seq
-        when = self._now + delay
-        tb = self._tiebreak(when, seq)
-        pb = self._pol_batch
-        if pb is not None and when == self._batch_time:
-            heapq.heappush(pb, (tb, seq, event))
-        else:
-            insert_policy(self, when, tb, seq, event)
-
-    def _call_in_policy_wheel(self, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        pool = self._cbe_pool
-        if pool:
-            e = pool.pop()
-            e.fn = fn
-            e.arg = arg
-            self._cbe_reuses += 1
-        else:
-            e = CallbackEntry(fn, arg)
-            self._cbe_allocs += 1
-        seq = self._seq + 1
-        self._seq = seq
-        when = self._now + delay
-        tb = self._tiebreak(when, seq)
-        pb = self._pol_batch
-        if pb is not None and when == self._batch_time:
-            heapq.heappush(pb, (tb, seq, e))
-        else:
-            insert_policy(self, when, tb, seq, e)
-
-    def _timeout_policy_wheel(self, delay: int, value: Any = None) -> "Event":
-        t = self._stash
-        if t is not None:
-            self._stash = None
-        else:
-            pool = self._timeout_pool
-            if not pool:
-                if delay < 0:
-                    raise SimulationError(f"negative timeout: {delay}")
-                self._timeout_allocs += 1
-                return self._timeout_cls(self, delay, value)
-            t = pool.pop()
-        if delay < 0:
-            self._timeout_pool.append(t)
-            raise SimulationError(f"negative timeout: {delay}")
-        self._timeout_reuses += 1
-        t.delay = delay
-        t._value = value
-        t._cb1 = None
-        self._schedule_policy_wheel(t, delay)
-        return t
-
-    # ------------------------------------------------------------------
-    # scheduling — flat-heap fallback (the pre-wheel kernel, verbatim)
-    # ------------------------------------------------------------------
-    def _schedule_heap(self, event: "Event", delay: int = 0) -> None:
-        if type(delay) is not int:
-            if isinstance(delay, bool) or not isinstance(delay, int):
-                raise SimulationError(
-                    f"delay must be an int number of ns, got {type(delay).__name__}"
-                )
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        when = self._now + delay
-        if self._tiebreak is None:
-            heapq.heappush(self._queue, (when, self._seq, event))
-        else:
-            heapq.heappush(
-                self._queue, (when, self._tiebreak(when, self._seq), self._seq, event)
-            )
-
-    def _call_in_heap(self, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        when = self._now + delay
-        if self._tiebreak is None:
-            heapq.heappush(self._queue, (when, self._seq, CallbackEntry(fn, arg)))
-        else:
-            heapq.heappush(
-                self._queue,
-                (when, self._tiebreak(when, self._seq), self._seq, CallbackEntry(fn, arg)),
-            )
-
-    def _timeout_heap(self, delay: int, value: Any = None) -> "Event":
         pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-            if delay < 0:
-                pool.append(t)
-                raise SimulationError(f"negative timeout: {delay}")
-            t.delay = delay
-            t._value = value
-            t._ok = True
-            t._cb1 = None
-            t._cbs = None
-            self.schedule(t, delay)
-            return t
-        self._timeout_allocs += 1
-        return self._timeout_cls(self, delay, value)
+        if not pool:
+            self._timeout_allocs += 1
+            return self._timeout_cls(self, delay, value)
+        t = pool[-1]
+        self.schedule(t, delay)  # validates before the pooled object is taken
+        pool.pop()
+        self._timeout_reuses += 1
+        t.delay = delay
+        t._value = value
+        t._cb1 = None
+        return t
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _step_heap(self) -> None:
-        """Execute the next event on the calendar, advancing the clock."""
-        item = heapq.heappop(self._queue)
-        when, event = item[0], item[-1]
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event calendar corrupted: time went backwards")
-        self._now = when
-        self.events_executed += 1
-        event._run()
-        # Recycle plain Timeouts nothing else references: refcount 2 means
-        # only the local variable and getrefcount's argument hold it, so
-        # reuse can never be observed by user code.  (CPython-specific; on
-        # other runtimes the count is conservative and pooling just idles.)
-        if type(event) is self._timeout_cls and getrefcount(event) == 2:
-            pool = self._timeout_pool
-            if len(pool) < TIMEOUT_POOL_MAX:
-                pool.append(event)
+    def step(self) -> None:
+        """Execute the next calendar entry, advancing the clock.
 
-    def _step_wheel(self) -> None:
-        """Execute the next event on the calendar, advancing the clock.
-
-        Same-instant peers beyond the first are put back with their order
-        preserved, so interleaving ``step()`` with ``run()`` is safe.
-        Raises :class:`IndexError` on an empty calendar (as the flat heap
-        did).
+        Raises :class:`IndexError` on an empty calendar.
         """
-        e = self._single
-        if e is not None:
-            self._single = None
-            self._now = self._single_when
-            self.events_executed += 1
-            e._run()
-            self._maybe_recycle(e)
-            return
-        if self._tiebreak is None:
-            got = next_batch_fifo(self)
-            if got is None:
-                raise IndexError("step on an empty calendar")
-            t, ls = got
-            e = ls[0]
-            self._base = t
-            restore_fifo(self, t, ls, 1)
-            self._now = t
-            self.events_executed += 1
-            e._run()
-            self._maybe_recycle(e)
-            return
-        got = next_batch_policy(self)
-        if got is None:
+        if not self._queue:
             raise IndexError("step on an empty calendar")
-        t, ls = got
-        e = heapq.heappop(ls)[2]
-        self._base = t
-        restore_policy(self, t, ls)
-        self._now = t
-        self.events_executed += 1
-        e._run()
-        self._maybe_recycle(e)
+        rec = self._recorder
+        self._drain(INF, 1, None if rec is None else rec.fire)
 
-    def _maybe_recycle(self, event) -> None:
-        if type(event) is self._timeout_cls and getrefcount(event) == 3:
-            # 3 = our caller's local, this frame's argument, getrefcount's
-            if self._stash is None:
-                self._stash = event
-            elif len(self._timeout_pool) < TIMEOUT_POOL_MAX:
-                self._timeout_pool.append(event)
-
-    def _peek_heap(self) -> Optional[int]:
+    def peek(self) -> Optional[int]:
         """Return the firing time of the next event, or ``None`` if idle."""
         return self._queue[0][0] if self._queue else None
-
-    def _peek_wheel(self) -> Optional[int]:
-        """Return the firing time of the next event, or ``None`` if idle.
-
-        Exact even when called from inside a dispatched callback: a live
-        batch with entries left reports the current instant.
-        """
-        if self._single is not None:
-            return self._single_when
-        b = self._batch
-        if b is not None and self._bi < len(b):
-            return self._now
-        pb = self._pol_batch
-        if pb:
-            return self._now
-        return peek_structures(self)
 
     def run(
         self,
@@ -749,8 +290,10 @@ class Simulator:
             an ``int``
                 run until simulated time reaches that many nanoseconds.
         max_events:
-            Optional hard cap on the number of events executed, as a guard
-            against accidental infinite simulations.
+            Optional hard cap on the number of events this call executes,
+            as a guard against accidental infinite simulations.  The
+            :class:`SimulationError` is raised when an event beyond the
+            cap is due; the undispatched entries stay on the calendar.
         """
         stop_time: Optional[int] = None
         target: Optional["Event"] = None
@@ -764,21 +307,14 @@ class Simulator:
         elif until is not None:
             raise SimulationError(f"invalid 'until' argument: {until!r}")
 
-        stop = INF if stop_time is None else stop_time
-        maxe = INF if max_events is None else max_events
+        rec = self._recorder
         try:
-            if self._recorder is not None:
-                from .causality import drain_record
-
-                drain_record(self, stop, maxe)
-            elif self._backend == "heap":
-                drain_heap(self, stop, maxe)
-            elif self._tiebreak is not None:
-                drain_policy(self, stop, maxe)
-            elif stop_time is None and max_events is None:
-                drain_fifo(self)
-            else:
-                drain_fifo_gated(self, stop, maxe)
+            if self._drain(
+                INF if stop_time is None else stop_time,
+                INF if max_events is None else max_events,
+                None if rec is None else rec.fire,
+            ):
+                raise SimulationError(f"exceeded max_events={max_events}")
         except StopSimulation:
             pass
 
@@ -788,70 +324,75 @@ class Simulator:
             return target.result()
         return None
 
+    def _drain(self, stop, budget, fire) -> bool:
+        """Pop, dispatch and recycle entries until the calendar is empty or
+        the next entry lies beyond *stop* (returns False), or until
+        *budget* events have run and another one is due (returns True).
+
+        *fire* is the capture hook (``fire(entry, when)``) or ``None``.
+        Events are counted when they leave the calendar, before their
+        callbacks run, so an exception escaping a callback leaves the
+        interrupted event counted.
+        """
+        queue = self._queue
+        pool = self._timeout_pool
+        TO = self._timeout_cls
+        grc = getrefcount
+        limit = self.events_executed + budget
+        while queue:
+            when = queue[0][0]
+            if when > stop:
+                self._now = stop
+                return False
+            executed = self.events_executed
+            if executed >= limit:
+                return True
+            e = heappop(queue)[-1]
+            self._now = when
+            self.events_executed = executed + 1
+            if fire is None:
+                e._run()
+            else:
+                fire(e, when)
+            # Recycle plain Timeouts nothing else references: refcount 2
+            # means only the local variable and getrefcount's argument hold
+            # it, so reuse can never be observed by user code.
+            # (CPython-specific; elsewhere the count is conservative and
+            # pooling just idles.)
+            if e.__class__ is TO and grc(e) == 2 and len(pool) < TIMEOUT_POOL_MAX:
+                pool.append(e)
+        return False
+
     def _stop_on_target(self, _event: "Event") -> None:
         raise StopSimulation()
 
     # ------------------------------------------------------------------
-    # calendar introspection (the supported surface; _-prefixed structure
-    # fields are backend-specific internals)
+    # calendar introspection
     # ------------------------------------------------------------------
     def peek_next_time(self) -> Optional[int]:
         """Firing time of the next calendar entry, or ``None`` if idle.
 
-        Backend-independent alias of ``peek()`` — the public way for
-        tests/telemetry to ask "is anything pending, and when?".
+        Alias of :meth:`peek` — the public way for tests/telemetry to ask
+        "is anything pending, and when?".
         """
         return self.peek()
 
     def calendar_stats(self) -> dict:
         """Snapshot of calendar counters (cheap; safe to call mid-run).
 
-        Keys are identical for both backends (wheel-only counters read 0
-        under the heap fallback) so telemetry schemas stay stable:
-
-        ``backend``, ``now``, ``events_executed``, ``pending``,
-        ``next_time``, ``batches``, ``batched_events``, ``max_batch``,
-        ``cascades``, ``l0_inserts``, ``l1_inserts``, ``overflow_inserts``,
-        ``timeout_allocs``, ``timeout_reuses``, ``timeout_pool``,
-        ``cbe_allocs``, ``cbe_reuses``.
-
-        ``events_executed`` is synced at batch boundaries while a wheel
-        drain loop is running, so a mid-batch reading may lag by the
-        events dispatched in the current batch.  Register (single-entry)
-        dispatches are ``events_executed - batched_events``; the timeout
-        freelist hit rate is ``timeout_reuses / (timeout_reuses +
+        ``now``, ``events_executed``, ``pending``, ``next_time``,
+        ``timeout_allocs``, ``timeout_reuses``, ``timeout_pool``.  The
+        timeout freelist hit rate is ``timeout_reuses / (timeout_reuses +
         timeout_allocs)``.
         """
-        if self._backend == "heap":
-            pending = len(self._queue)
-        else:
-            pending = self._nstruct
-            if self._single is not None:
-                pending += 1
-            b = self._batch
-            if b is not None:
-                pending += len(b) - self._bi
-            pb = self._pol_batch
-            if pb:
-                pending += len(pb)
         return {
-            "backend": self._backend,
             "now": self._now,
             "events_executed": self.events_executed,
-            "pending": pending,
+            "pending": len(self._queue),
             "next_time": self.peek(),
-            "batches": self._batches,
-            "batched_events": self._batched_events,
-            "max_batch": self._max_batch,
-            "cascades": self._cascades,
-            "l0_inserts": self._l0_inserts,
-            "l1_inserts": self._l1_inserts,
-            "overflow_inserts": self._hq_inserts,
             "timeout_allocs": self._timeout_allocs,
             "timeout_reuses": self._timeout_reuses,
-            "timeout_pool": len(self._timeout_pool) + (1 if self._stash is not None else 0),
-            "cbe_allocs": self._cbe_allocs,
-            "cbe_reuses": self._cbe_reuses,
+            "timeout_pool": len(self._timeout_pool),
         }
 
     # ------------------------------------------------------------------

@@ -15,11 +15,8 @@ schedule on every run, machine, and Python version.  Events at *different*
 timestamps are never reordered (simulated time stays causal); a policy can
 only permute genuinely concurrent events.
 
-Under the timing-wheel calendar a policy is applied per same-instant
-batch: every placement gets a seq, and each batch is dispatched as a
-``(tiebreak, seq, entry)`` heap — exactly the key the flat-heap kernel
-sorted globally, so both backends replay the same order bit for bit
-(property-tested in ``tests/simnet/test_timing_wheel.py``).
+With a policy installed, every placement gets a seq and enters the
+kernel's heap under the key ``(time, tiebreak(time, seq), seq)``.
 """
 
 from __future__ import annotations

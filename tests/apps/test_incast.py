@@ -1,17 +1,8 @@
 """Incast scenario suite: fan-in through the shared sink uplink."""
 
 import json
-import os
 
 import pytest
-
-#: the cells kernels tie-break same-instant events by cell key instead of
-#: global placement order, so counters that depend on whether an arrival
-#: lands before or after a coincident dequeue can legitimately differ from
-#: the monolithic wheel (see docs/SIMULATION.md, "ordering contract")
-CELLS_ENV = os.environ.get("REPRO_KERNEL", "") in (
-    "cells", "decoupled", "cells-lockstep"
-)
 
 from repro.apps import IncastConfig, incast_topology, run_incast
 from repro.apps.incast import main as incast_main
@@ -54,11 +45,6 @@ def test_backpressure_incast_is_lossless():
     assert result.throughput_gbps > 0
 
 
-@pytest.mark.skipif(
-    CELLS_ENV,
-    reason="backpressure count is same-instant order sensitive (arrival vs "
-           "coincident dequeue); cells kernels order by cell key",
-)
 def test_congested_uplink_backpressures():
     # tiny queue + big burst: the sink port must hold frames at ingress
     result = run_incast(

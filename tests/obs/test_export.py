@@ -47,11 +47,11 @@ def test_jsonl_round_trip(session):
 def test_kernel_calendar_gauges_sampled(session):
     """The standard telemetry run samples the event-calendar kernel counters."""
     series = session.sampler.series
-    for name in ("kernel.events_executed", "kernel.pending", "kernel.batches",
-                 "kernel.batched_events", "kernel.cascades",
-                 "kernel.l0_inserts", "kernel.overflow_inserts",
-                 "kernel.timeout_allocs", "kernel.timeout_reuses"):
+    for name in ("kernel.now", "kernel.events_executed", "kernel.pending",
+                 "kernel.timeout_allocs", "kernel.timeout_reuses",
+                 "kernel.timeout_pool"):
         assert name in series, name
+    assert "kernel.events_per_batch" not in series
     executed = series["kernel.events_executed"].values()
     assert executed == sorted(executed)  # cumulative counter, monotone
     assert executed[-1] > 0

@@ -3,9 +3,10 @@
 The contract of :mod:`repro.simnet.causality` is twofold:
 
 * **Equivalence** — a captured run executes the exact same schedule as an
-  uncaptured one, on every calendar backend (wheel FIFO, wheel + policy,
-  heap).  The fingerprint workload from the timing-wheel suite is reused:
-  any ordering divergence derails a shared PRNG and amplifies.
+  uncaptured one, with no schedule policy, ``FifoPolicy`` and
+  ``RandomTiebreakPolicy``.  The fingerprint workload draws from one shared
+  PRNG at resume time, so any ordering divergence derails every later draw
+  and amplifies.
 * **Causal structure** — every placement records its parent (the entry
   executing when it was scheduled), category, and schedule/fire times,
   and ``child.sched_ns == parent.fire_ns`` so chains tile exactly.
@@ -13,6 +14,7 @@ The contract of :mod:`repro.simnet.causality` is twofold:
 
 import pytest
 
+from helpers import event_soup
 from repro.simnet import (
     CausalRecorder,
     Event,
@@ -24,51 +26,6 @@ from repro.simnet import (
 )
 
 
-def _lcg(seed):
-    state = (seed * 2654435761) & 0x7FFFFFFF or 1
-    while True:
-        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        yield state
-
-
-DELAYS = (0, 1, 3, 7, 100, 1000, 4095, 4096, 4097, 70_000, 16_773_120, 50_000_000)
-
-
-def _build_workload(sim, seed, log):
-    """Deterministic event soup: timeout chains, same-instant bursts,
-    call_in deliveries, manually triggered events (as in test_timing_wheel)."""
-    rnd = _lcg(seed)
-
-    def chain_worker(wid):
-        for i in range(15):
-            d = DELAYS[next(rnd) % len(DELAYS)]
-            v = yield sim.timeout(d, value=(wid, i))
-            log.append(("w", wid, i, v, sim.now))
-
-    def burst_worker(wid):
-        for i in range(6):
-            base = next(rnd) % 5000
-            evs = [sim.timeout(base) for _ in range(next(rnd) % 4 + 2)]
-            for j, t in enumerate(evs):
-                t.add_callback(
-                    lambda e, wid=wid, i=i, j=j: log.append(("b", wid, i, j, sim.now)))
-            yield evs[0]
-            log.append(("bw", wid, i, sim.now))
-            yield sim.timeout(next(rnd) % 64)
-
-    for wid in range(4):
-        sim.process(chain_worker(wid))
-    for wid in range(2):
-        sim.process(burst_worker(wid))
-    for i in range(40):
-        d = (next(rnd) % 40) * 128
-        sim.call_in(d, lambda arg: log.append(("cb",) + arg), (i, d))
-    for i in range(20):
-        ev = Event(sim)
-        ev.add_callback(lambda e, i=i: log.append(("ev", i, e._value, sim.now)))
-        ev.succeed(value=i, delay=next(rnd) % 3)
-
-
 def _policy(kind, seed):
     if kind == "fifo":
         return FifoPolicy()
@@ -77,34 +34,32 @@ def _policy(kind, seed):
     return None
 
 
-def _fingerprint(backend, policy_kind, seed, capture):
-    sim = Simulator(schedule_policy=_policy(policy_kind, seed), calendar=backend)
+def _fingerprint(policy_kind, seed, capture):
+    sim = Simulator(schedule_policy=_policy(policy_kind, seed))
     rec = enable_capture(sim, CausalRecorder()) if capture else None
-    log = []
-    _build_workload(sim, seed, log)
+    log = event_soup(sim, seed)
     sim.run()
     return (tuple(log), sim.now, sim.events_executed), sim, rec
 
 
 # ----------------------------------------------------------------------
-# equivalence: capture replays the identical schedule, every backend
+# equivalence: capture replays the identical schedule, every policy
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [1, 2, 17])
-@pytest.mark.parametrize("backend,policy_kind", [
-    ("wheel", None), ("wheel", "fifo"), ("wheel", "random"), ("heap", None),
-])
-def test_capture_is_schedule_identical(backend, policy_kind, seed):
-    plain, _, _ = _fingerprint(backend, policy_kind, seed, capture=False)
-    captured, _, rec = _fingerprint(backend, policy_kind, seed, capture=True)
+@pytest.mark.parametrize("policy_kind", [None, "fifo", "random"])
+def test_capture_is_schedule_identical(policy_kind, seed):
+    plain, _, _ = _fingerprint(policy_kind, seed, capture=False)
+    captured, _, rec = _fingerprint(policy_kind, seed, capture=True)
     assert plain == captured
     assert len(rec.nodes) > 0
 
 
 def test_captured_run_matches_heap_reference():
-    """Cross-backend AND cross-capture: all four combinations agree."""
+    """Cross-policy AND cross-capture: no policy and ``FifoPolicy``, each
+    captured and uncaptured — all four combinations agree."""
     results = {
-        (b, c): _fingerprint(b, None, 23, capture=c)[0]
-        for b in ("wheel", "heap") for c in (False, True)
+        (p, c): _fingerprint(p, 23, capture=c)[0]
+        for p in (None, "fifo") for c in (False, True)
     }
     assert len(set(results.values())) == 1
 
@@ -113,7 +68,7 @@ def test_captured_run_matches_heap_reference():
 # DAG structure
 # ----------------------------------------------------------------------
 def test_parent_links_and_tiling():
-    _, sim, rec = _fingerprint("wheel", None, 5, capture=True)
+    _, sim, rec = _fingerprint(None, 5, capture=True)
     fired = [n for n in rec.nodes.values() if n.fire_ns >= 0]
     assert fired, "no nodes fired"
     rooted = 0
@@ -260,9 +215,8 @@ def test_enable_capture_rejects_double_enable():
         enable_capture(sim, CausalRecorder())
 
 
-@pytest.mark.parametrize("backend", ["wheel", "heap"])
-def test_step_records(backend):
-    sim = Simulator(calendar=backend)
+def test_step_records():
+    sim = Simulator()
     rec = enable_capture(sim, CausalRecorder())
     log = []
     sim.call_in(5, log.append, "a")

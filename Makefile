@@ -68,13 +68,22 @@ chaos-smoke:
 	REPRO_CHAOS_QUALITY=smoke pytest tests/chaos -q $(PYTEST_FLAGS)
 
 # Correctness gate (< 60 s): exhaust the default small scope in the model
-# checker, then fuzz 50 schedule seeds through the full stack.  Violations
+# checker, then fuzz 50 schedule seeds through the full stack, once on the
+# default stack and once per reliability mode x data plane.  (The model
+# checker never reads the transport, so explore runs once.)  Violations
 # leave a shrunk, replayable counterexample JSON behind for CI upload.
 check-smoke:
 	python -m repro.check explore --json counterexample-explore.json
 	python -m repro.check explore --sends 3,2 --recvs 4w,1 \
 		--json counterexample-explore-waitall.json
 	python -m repro.check fuzz --seeds 50 --json counterexample-fuzz.json
+	for rel in gobackn selective_repeat; do \
+		for tr in wwi eager_rendezvous; do \
+			python -m repro.check fuzz --seeds 50 --reliability-mode $$rel \
+				--transport $$tr --json counterexample-fuzz-$$rel-$$tr.json \
+				|| exit 1; \
+		done; \
+	done
 
 figures:
 	python -m repro.bench

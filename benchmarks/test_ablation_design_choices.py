@@ -21,6 +21,7 @@ from conftest import run_once
 from repro.apps import BlastConfig, ExponentialSizes, FixedSizes, run_blast
 from repro.apps.workloads import MIB
 from repro.bench.profiles import FDR_INFINIBAND, QDR_INFINIBAND, ROCE_10G_WAN
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import ExsSocketOptions
 
@@ -41,7 +42,8 @@ def test_ablation_ring_size_over_wan(benchmark, quality):
                 mode=ProtocolMode.INDIRECT_ONLY,
                 options=ExsSocketOptions(ring_capacity=ring_mib * MIB),
             )
-            r = run_blast(cfg, ROCE_10G_WAN, seed=1, max_events=100_000_000)
+            r = run_blast(cfg, scenario=ScenarioConfig(profile=ROCE_10G_WAN, seed=1),
+                          max_events=100_000_000)
             out.append((ring_mib, r.throughput_bps))
         return out
 
@@ -69,7 +71,8 @@ def test_ablation_qdr_closes_the_gap(benchmark, quality):
                 outstanding_recvs=8,
                 mode=mode,
             )
-            results[mode] = run_blast(cfg, profile, seed=1, max_events=100_000_000)
+            results[mode] = run_blast(cfg, scenario=ScenarioConfig(profile=profile, seed=1),
+                                      max_events=100_000_000)
         return (
             results[ProtocolMode.DIRECT_ONLY].throughput_bps
             / results[ProtocolMode.INDIRECT_ONLY].throughput_bps
@@ -100,7 +103,8 @@ def test_ablation_wakeup_latency_drives_the_instability(benchmark, quality):
                 outstanding_recvs=4,
                 mode=ProtocolMode.DYNAMIC,
             )
-            out.append(run_blast(cfg, profile, seed=seed, max_events=100_000_000).direct_ratio)
+            out.append(run_blast(cfg, scenario=ScenarioConfig(profile=profile, seed=seed),
+                                 max_events=100_000_000).direct_ratio)
         return out
 
     slow, fast = run_once(benchmark, lambda: (ratios_with(2_000, 16_000), ratios_with(0, 1)))
@@ -130,7 +134,7 @@ def test_ablation_credit_pool(benchmark, quality):
             mode=mode,
             options=ExsSocketOptions(credits=credits),
         )
-        return run_blast(cfg, seed=1, max_events=100_000_000)
+        return run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=100_000_000)
 
     def run_all():
         return (
@@ -181,7 +185,8 @@ def test_ablation_small_ring_reproduces_table3_flip_flop(benchmark, quality):
                 mode=ProtocolMode.DYNAMIC,
                 options=ExsSocketOptions(ring_capacity=ring_bytes),
             )
-            out.append(run_blast(cfg, seed=seed, max_events=200_000_000).mode_switches)
+            out.append(run_blast(cfg, scenario=ScenarioConfig(seed=seed),
+                                 max_events=200_000_000).mode_switches)
         return out
 
     big, small = run_once(

@@ -19,6 +19,7 @@ from conftest import run_once
 from repro.apps import BlastConfig, FixedSizes, run_blast
 from repro.apps.workloads import MIB
 from repro.bench.profiles import FDR_INFINIBAND, ROCE_10G_WAN
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import ExsSocketOptions
 
@@ -33,7 +34,8 @@ def test_bcopy_fast_send_response_vs_zero_copy(benchmark, quality):
             outstanding_recvs=8,
             options=ExsSocketOptions(sender_copy=sender_copy, ring_capacity=ring),
         )
-        return run_blast(cfg, profile, seed=1, max_events=200_000_000)
+        return run_blast(cfg, scenario=ScenarioConfig(profile=profile, seed=1),
+                         max_events=200_000_000)
 
     def run_all():
         return {

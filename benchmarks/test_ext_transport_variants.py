@@ -16,6 +16,7 @@ import pytest
 from conftest import run_once
 from repro.apps import BlastConfig, EchoConfig, FixedSizes, run_blast, run_echo
 from repro.apps.workloads import KIB, MIB
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import ExsSocketOptions
 
@@ -37,7 +38,7 @@ def test_iwarp_emulation_overhead(benchmark, quality):
             mode=ProtocolMode.DIRECT_ONLY,
             options=ExsSocketOptions(native_write_with_imm=native),
         )
-        return run_blast(cfg, seed=1, max_events=100_000_000)
+        return run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=100_000_000)
 
     def run():
         return {

@@ -9,6 +9,7 @@ normally here.
 import pytest
 
 from repro.apps import BlastConfig, FixedSizes, run_blast
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.simnet import Simulator, Timeout
 
@@ -76,7 +77,7 @@ def test_blast_simulation_rate(benchmark):
             outstanding_recvs=8,
             mode=ProtocolMode.DYNAMIC,
         )
-        return run_blast(cfg, seed=1, max_events=50_000_000)
+        return run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=50_000_000)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert result.total_bytes == 400 * 64 * 1024
@@ -94,7 +95,7 @@ def test_indirect_copy_path_rate(benchmark):
             outstanding_recvs=4,
             mode=ProtocolMode.INDIRECT_ONLY,
         )
-        return run_blast(cfg, seed=1, max_events=50_000_000)
+        return run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=50_000_000)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert result.rx_stats.copied_bytes == result.total_bytes
@@ -116,7 +117,7 @@ def _real_bytes_blast(mode: ProtocolMode):
         mode=mode,
         real_data=True,
     )
-    return run_blast(cfg, seed=1, max_events=50_000_000)
+    return run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=50_000_000)
 
 
 def test_real_bytes_direct_blast_rate(benchmark):
@@ -149,7 +150,6 @@ def _scale_incast(connections_per_sender: int, srq_depth, cq_shards,
     16 MiB rings.
     """
     from repro.apps.incast import IncastConfig, run_incast
-    from repro.config import ScenarioConfig
     from repro.exs import ExsSocketOptions
 
     cfg = IncastConfig(
@@ -247,11 +247,10 @@ def test_srq_lazy_prefill_bringup(benchmark):
     that dominated 10k-connection fabric construction.
     """
     from repro.fabric import Fabric
-    from repro.simnet import Topology
     from repro.verbs.wr import SGE
 
     def run():
-        fab = Fabric(topology=Topology.point_to_point())
+        fab = Fabric.from_scenario(ScenarioConfig())
         device = fab.device("client")
         sge = SGE(0, 256, 0)
         taken = 0
@@ -325,7 +324,6 @@ def test_transport_crossover_grid(benchmark):
     from dataclasses import replace
 
     from repro.bench.profiles import PROFILES
-    from repro.config import ScenarioConfig
     from repro.simnet import FaultProfile
     from repro.verbs import ReliabilityConfig
 

@@ -7,17 +7,18 @@ outputs the average throughput, time per message, and CPU usage on each
 side.  Additionally, UNH EXS itself keeps statistics on the number of
 indirect vs. direct transfers."
 
-:func:`run_blast` assembles a testbed, runs the client/server pair, and
+:func:`run_blast` assembles a testbed from a
+:class:`~repro.config.ScenarioConfig`, runs the client/server pair, and
 returns a :class:`BlastResult` with exactly those outputs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
-from ..bench.profiles import FDR_INFINIBAND, HardwareProfile
-from ..config import ScenarioConfig, deprecated_signature
+from ..config import ScenarioConfig
 from ..core import ProtocolMode, ProtocolStats
 from ..exs import ExsEventType, ExsSocketOptions, MsgFlags, SocketType
 from ..testbed import Testbed
@@ -213,75 +214,32 @@ def _telemetry_artifact_path(config: BlastConfig, seed: int) -> str:
 
 def run_blast(
     config: BlastConfig,
-    profile: Optional[HardwareProfile] = None,
     *,
-    seed: Optional[int] = None,
+    scenario: Optional[ScenarioConfig] = None,
     testbed: Optional[Testbed] = None,
     max_events: Optional[int] = None,
-    telemetry=None,
-    scenario: Optional[ScenarioConfig] = None,
 ) -> BlastResult:
     """Run one blast and return its measurements.
 
     The run environment comes from *scenario* (a
-    :class:`~repro.config.ScenarioConfig`): topology profile, seed, faults,
-    reliability, schedule policy, and telemetry.  When
-    ``scenario.telemetry`` is set a fresh :mod:`repro.obs` session is
-    attached (reachable afterwards as ``testbed.telemetry``); when
-    ``scenario.telemetry_dir`` is set the run — including
-    :func:`repro.sweep.run_sweep` workers in other processes — also writes
-    a per-run JSONL telemetry artifact into that directory.
-
-    The scattered legacy knobs (``profile=``/``seed=``/``telemetry=`` and
-    the ``REPRO_TELEMETRY_DIR`` environment variable) remain as deprecation
-    shims; a caller-built :class:`repro.obs.Telemetry` may still be passed
-    via ``telemetry=``.
+    :class:`~repro.config.ScenarioConfig`): hardware profile, seed, faults,
+    reliability, transport, schedule policy, and telemetry.  A caller-built
+    *testbed* replaces the one the scenario would assemble; *scenario* then
+    defaults to the testbed's own and still decides telemetry and
+    ``max_events``.  When ``scenario.telemetry`` is set a fresh
+    :mod:`repro.obs` session is attached (reachable afterwards as
+    ``testbed.telemetry``); when ``scenario.telemetry_dir`` is set the run
+    — including :func:`repro.sweep.run_sweep` workers in other processes —
+    also writes a per-run JSONL telemetry artifact into that directory.
     """
-    import os
-
-    if scenario is not None:
-        if profile is not None or seed is not None:
-            raise ValueError("pass either scenario= or profile=/seed=, not both")
-        telemetry_dir = scenario.telemetry_dir
-        if max_events is None:
-            max_events = scenario.max_events
-        seed = scenario.seed
-    else:
-        telemetry_dir = os.environ.get("REPRO_TELEMETRY_DIR", "").strip() or None
-        if profile is not None or seed is not None or telemetry is not None or telemetry_dir:
-            deprecated_signature(
-                "run_blast(profile=, seed=, telemetry=) / REPRO_TELEMETRY_DIR",
-                "pass run_blast(config, scenario=ScenarioConfig(...)) instead",
-            )
-        seed = 0 if seed is None else seed
-        scenario = ScenarioConfig(
-            profile=profile if profile is not None else FDR_INFINIBAND,
-            seed=seed,
-            telemetry=telemetry is True,
-            telemetry_dir=telemetry_dir,
-        )
-
-    if scenario.transport is not None:
-        # the scenario forces the EXS data-plane transport for the run
-        from dataclasses import replace
-
-        base = config.options or ExsSocketOptions()
-        if base.transport != scenario.transport:
-            config = replace(config, options=replace(base, transport=scenario.transport))
+    if scenario is None:
+        scenario = testbed.scenario if testbed is not None else ScenarioConfig()
+    if max_events is None:
+        max_events = scenario.max_events
+    telemetry_dir = scenario.telemetry_dir
 
     tb = testbed or Testbed.from_scenario(scenario)
-    if telemetry is True or (telemetry is None and (scenario.telemetry or telemetry_dir)):
-        telemetry = tb.attach_telemetry()
-    elif telemetry is not None and telemetry is not False:
-        if getattr(tb.host("client"), "telemetry", None) is not telemetry:
-            # caller-built session not yet wired to this testbed
-            for host in (tb.host("client"), tb.host("server")):
-                telemetry.observe_host(host)
-            telemetry.observe_link(tb.link)
-            telemetry.sampler.start()
-        tb.telemetry = telemetry
-    else:
-        telemetry = None
+    telemetry = tb.attach_telemetry() if scenario.telemetry or telemetry_dir else None
     client_out: dict = {}
     server_out: dict = {}
     pc = tb.sim.process(_client_proc(tb, config, client_out), name="blast-client")
@@ -331,7 +289,8 @@ def run_blast(
             from ..obs.export import write_jsonl
 
             os.makedirs(telemetry_dir, exist_ok=True)
-            path = os.path.join(telemetry_dir, _telemetry_artifact_path(config, seed))
+            path = os.path.join(
+                telemetry_dir, _telemetry_artifact_path(config, scenario.seed))
             with open(path, "w") as fh:
                 write_jsonl(fh, telemetry)
     return result

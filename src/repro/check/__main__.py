@@ -73,28 +73,19 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    # Resolve variant forcing (flag, else environment) into the case and
-    # base scenario *explicitly*, so the counterexample JSON is
-    # self-contained: replaying it reproduces the run bit for bit even
-    # without the REPRO_* environment that produced it.
-    import os
-
-    from dataclasses import replace
-
+    # The variant flags go into the case and base scenario, so the
+    # counterexample JSON alone replays the run bit for bit.
     from ..config import ScenarioConfig
     from ..verbs import ReliabilityConfig
 
-    transport = args.transport or os.environ.get("REPRO_TRANSPORT", "").strip() or None
-    mode = (args.reliability_mode
-            or os.environ.get("REPRO_RELIABILITY_MODE", "").strip() or None)
-    case = FuzzCase(messages=args.messages, transport=transport)
+    case = FuzzCase(messages=args.messages, transport=args.transport)
     base = ScenarioConfig()
-    if mode:
+    if args.reliability_mode:
         profile = base.resolve_profile()
-        rel = ReliabilityConfig.for_path(
-            profile.propagation_delay_ns + profile.emulator_delay_ns
-        )
-        base = base.with_(reliability=replace(rel, mode=mode))
+        base = base.with_(reliability=ReliabilityConfig.for_path(
+            profile.propagation_delay_ns + profile.emulator_delay_ns,
+            mode=args.reliability_mode,
+        ))
     seeds = range(args.first_seed, args.first_seed + args.seeds)
 
     def progress(seed, outcome):
@@ -164,11 +155,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--messages", type=int, default=48, help="messages per run")
     p.add_argument("--transport", choices=("wwi", "eager_rendezvous"), default=None,
-                   help="force the EXS transport (default: $REPRO_TRANSPORT)")
+                   help="force the EXS transport (default: wwi)")
     p.add_argument("--reliability-mode", choices=("gobackn", "selective_repeat"),
                    default=None,
                    help="run with RC reliability in this mode "
-                        "(default: $REPRO_RELIABILITY_MODE)")
+                        "(default: no reliability layer)")
     p.add_argument("--verbose", action="store_true", help="print per-seed outcomes")
     p.add_argument("--json", help="write the first failing counterexample here")
     p.set_defaults(fn=_cmd_fuzz)

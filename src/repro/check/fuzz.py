@@ -43,7 +43,7 @@ class FuzzCase:
     recv_buffer_bytes: int = 1 << 20
     waitall: bool = False
     mode: str = "dynamic"
-    #: EXS data-plane transport (``None`` = socket default / environment)
+    #: EXS data-plane transport (``None`` = the scenario's transport)
     transport: Optional[str] = None
 
     def to_dict(self) -> dict:

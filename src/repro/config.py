@@ -1,11 +1,13 @@
 """Unified, serializable scenario configuration.
 
 Everything that shapes *how a run is executed* — as opposed to what the
-application sends — historically lived in scattered knobs: ``Testbed(...)``
-keyword arguments, ``run_blast(telemetry=)``, ``run_grid(telemetry_dir=)``,
-and the ``REPRO_TELEMETRY_DIR`` environment variable.
-:class:`ScenarioConfig` gathers them into one frozen, picklable,
-JSON-round-trippable object:
+application sends — is one frozen, picklable, JSON-round-trippable
+:class:`ScenarioConfig`.  It is the only input of
+:class:`~repro.testbed.Testbed`, :class:`~repro.fabric.Fabric`,
+:func:`~repro.apps.blast.run_blast` and
+:func:`~repro.bench.experiment.run_grid` (plus the non-serializable
+``jitter``/``trace`` callables of the first two); no library code reads
+the environment to change a run:
 
 * **profile** — which :class:`~repro.bench.profiles.HardwareProfile`
   (by name, so scenarios serialize)
@@ -13,8 +15,12 @@ JSON-round-trippable object:
   multi-host fabrics (``None`` = the classic two-host wire)
 * **seed** — the testbed seed (wake-up latencies, fault streams, ...)
 * **faults** — optional :class:`~repro.simnet.faults.FaultProfile`, or a
-  per-edge ``{edge_name: FaultProfile}`` mapping on a topology
+  per-edge ``{edge_name: FaultProfile}`` mapping on a topology (a pre-built
+  :class:`~repro.simnet.faults.ImpairmentModel` also works, but does not
+  serialize)
 * **reliability** — optional :class:`~repro.verbs.reliability.ReliabilityConfig`
+* **transport** — the EXS data plane of every stream socket whose options
+  leave ``transport`` unset
 * **schedule** — optional same-instant tie-break policy spec
   (``("fifo", 0)`` or ``("random", seed)``; see :mod:`repro.simnet.schedule`)
 * **telemetry** / **telemetry_dir** — :mod:`repro.obs` session and artifact
@@ -25,34 +31,22 @@ Because a scenario serializes, every :mod:`repro.check` counterexample is a
 scenario: the fuzzer writes the exact ``ScenarioConfig`` that produced a
 violation, and ``python -m repro.check replay`` re-runs it bit for bit.
 
-The pre-existing spellings keep working as thin deprecation shims that
-assemble a ``ScenarioConfig`` internally and emit a ``DeprecationWarning``
-(see docs/API.md for the migration table).
+docs/API.md maps the removed keyword spellings to their fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .bench.profiles import PROFILES, HardwareProfile
 from .simnet.fabric import Topology
-from .simnet.faults import FaultProfile
+from .simnet.faults import FaultProfile, ImpairmentModel
 from .simnet.schedule import SchedulePolicy, policy_from_spec
 from .verbs.reliability import ReliabilityConfig
 
-__all__ = ["ScenarioConfig", "deprecated_signature"]
-
-
-def deprecated_signature(what: str, instead: str) -> None:
-    """Emit the standard shim warning pointing at :class:`ScenarioConfig`."""
-    warnings.warn(
-        f"{what} is deprecated; {instead} (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+__all__ = ["ScenarioConfig"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +57,7 @@ class ScenarioConfig:
     :data:`repro.bench.profiles.PROFILES` — the serializable spelling) or a
     :class:`HardwareProfile` instance (for ad-hoc profiles; such scenarios
     pickle but do not JSON-serialize unless the profile is registered).
+    The same holds for a pre-built :class:`ImpairmentModel` in ``faults``.
     """
 
     profile: Union[str, HardwareProfile] = "fdr"
@@ -73,12 +68,15 @@ class ScenarioConfig:
     #: wire impairment: one :class:`FaultProfile` applied to every edge, or
     #: a ``{edge_name: FaultProfile}`` mapping addressing individual edges
     #: of the topology (e.g. ``{"client0-spine0": LIGHT_LOSS}``); unknown
-    #: edge names raise eagerly
-    faults: Optional[Union[FaultProfile, Dict[str, FaultProfile]]] = None
+    #: edge names raise eagerly.  A pre-built :class:`ImpairmentModel`
+    #: (down windows, asymmetry) fits the two-host wire or one edge.
+    faults: Optional[Union[FaultProfile, ImpairmentModel,
+                           Dict[str, Union[FaultProfile, ImpairmentModel]]]] = None
     reliability: Optional[ReliabilityConfig] = None
-    #: EXS data-plane transport forced on the run's sockets: ``"wwi"``,
-    #: ``"eager_rendezvous"``, or ``None`` (socket options / environment
-    #: decide; see :meth:`repro.exs.ExsSocketOptions.effective_transport`)
+    #: EXS data-plane transport of every stream socket whose
+    #: :class:`~repro.exs.ExsSocketOptions` leave ``transport`` unset:
+    #: ``"wwi"``, ``"eager_rendezvous"``, or ``None`` (= ``"wwi"``, the
+    #: paper's protocol); an explicit socket option still wins
     transport: Optional[str] = None
     #: same-instant schedule policy spec: ``None`` (kernel FIFO),
     #: ``("fifo", 0)``, or ``("random", seed)``
@@ -148,28 +146,16 @@ class ScenarioConfig:
         """A copy with *changes* applied (``dataclasses.replace`` spelling)."""
         return dataclasses.replace(self, **changes)
 
-    def build_testbed(self, *, jitter=None, trace=None):
-        """Assemble the two-node :class:`~repro.testbed.Testbed` this
-        scenario describes.  ``jitter``/``trace`` are callables (therefore
-        not part of the serializable scenario) and compose on top.
-        """
-        from .testbed import Testbed
-
-        return Testbed.from_scenario(self, jitter=jitter, trace=trace)
-
-    def build_fabric(self, *, jitter=None, trace=None):
-        """Assemble the N-host :class:`~repro.fabric.Fabric` this scenario
-        describes (its :attr:`topology`, or the two-host wire when unset).
-        """
-        from .fabric import Fabric
-
-        return Fabric.from_scenario(self, jitter=jitter, trace=trace)
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready dict; inverse of :meth:`from_dict`."""
+        """JSON-ready dict; inverse of :meth:`from_dict`.
+
+        Raises :class:`ValueError` for the non-serializable spellings: an
+        unregistered :class:`HardwareProfile`, or a pre-built
+        :class:`ImpairmentModel` in ``faults``.
+        """
         profile = self.profile
         if isinstance(profile, HardwareProfile):
             if PROFILES.get(profile.name) is not profile:
@@ -180,10 +166,10 @@ class ScenarioConfig:
             profile = profile.name
         if isinstance(self.faults, dict):
             faults = {"per_edge": {
-                name: dataclasses.asdict(fp) for name, fp in self.faults.items()
+                name: _fault_profile_dict(fp) for name, fp in self.faults.items()
             }}
         else:
-            faults = dataclasses.asdict(self.faults) if self.faults else None
+            faults = _fault_profile_dict(self.faults) if self.faults else None
         return {
             "profile": profile,
             "seed": self.seed,
@@ -229,3 +215,12 @@ class ScenarioConfig:
             srq_depth=data.get("srq_depth"),
             cq_shards=int(data.get("cq_shards", 0)),
         )
+
+
+def _fault_profile_dict(faults) -> dict:
+    if not isinstance(faults, FaultProfile):
+        raise ValueError(
+            f"faults holds a {type(faults).__name__}, which does not serialize; "
+            "serializable scenarios describe faults as FaultProfile values"
+        )
+    return dataclasses.asdict(faults)

@@ -56,7 +56,7 @@ from .control import (
 )
 from .credits import CreditError, CreditManager
 from .eventqueue import ExsEvent, ExsEventType
-from .flags import ExsSocketOptions, SocketType, TRANSPORT_EAGER_RENDEZVOUS
+from .flags import TRANSPORT_EAGER_RENDEZVOUS, TRANSPORT_WWI, ExsSocketOptions, SocketType
 from .rendezvous import RdvReceiverHalf, RdvSenderHalf
 from .seqpacket import SeqPacketReceiverHalf, SeqPacketSenderHalf
 from .stream_receiver import StreamReceiverHalf
@@ -100,6 +100,7 @@ class ExsConnection:
         socket_type: SocketType = SocketType.SOCK_STREAM,
         srq=None,
         shard=None,
+        transport: str = TRANSPORT_WWI,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -110,9 +111,10 @@ class ExsConnection:
         self.costs = host.cpu.costs
 
         self.socket_type = socket_type
+        # *transport* is the stack default for options that leave it unset
         self.transport = (
-            options.effective_transport()
-            if socket_type is SocketType.SOCK_STREAM else "wwi"
+            options.transport or transport
+            if socket_type is SocketType.SOCK_STREAM else TRANSPORT_WWI
         )
         # Shared receive pool (ExsStack(srq_depth=...)): control-plane
         # transports draw receives from the stack-wide SRQ instead of

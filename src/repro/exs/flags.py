@@ -62,10 +62,8 @@ class ExsSocketOptions:
     #: data-plane strategy for SOCK_STREAM: the paper's WWI protocol
     #: (``"wwi"``) or the eager/rendezvous SEND-RECV alternative
     #: (``"eager_rendezvous"``) used by the transport bake-off.  ``None``
-    #: (the default) resolves at connection time to the
-    #: ``REPRO_TRANSPORT`` environment variable, falling back to ``"wwi"``
-    #: — which is how the CI variant matrix forces a transport across an
-    #: unmodified test suite.
+    #: (the default) takes the stack's transport, which a fabric sets from
+    #: :attr:`repro.config.ScenarioConfig.transport` (``"wwi"`` when unset).
     transport: Optional[str] = None
     #: eager/rendezvous only: largest message sent eagerly (copied through
     #: the receiver's bounce slots); larger messages use RTS/CTS
@@ -109,29 +107,6 @@ class ExsSocketOptions:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.eager_threshold <= 0:
             raise ValueError("eager_threshold must be positive")
-
-    def effective_transport(self) -> str:
-        """Resolve the transport: explicit field, else env, else WWI.
-
-        The environment resolution is memoized per options instance:
-        ``os.environ`` lookups go through the slow ``Mapping.get`` path,
-        and one shared options object is consulted once per connection —
-        measurable at 10k-connection bring-up.  Fresh instances re-read
-        the environment, which is what the CI variant matrix relies on.
-        """
-        if self.transport is not None:
-            return self.transport
-        memo = self.__dict__.get("_transport_memo")
-        if memo is not None:
-            return memo
-        import os
-
-        env = os.environ.get("REPRO_TRANSPORT", "").strip()
-        if env and env not in (TRANSPORT_WWI, TRANSPORT_EAGER_RENDEZVOUS):
-            raise ValueError(f"unknown REPRO_TRANSPORT {env!r}")
-        resolved = env or TRANSPORT_WWI
-        object.__setattr__(self, "_transport_memo", resolved)
-        return resolved
 
     def effective_credit_update_threshold(self) -> int:
         return self.credit_update_threshold or max(1, self.credits // 2)

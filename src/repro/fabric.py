@@ -20,6 +20,11 @@ direct two-host wire takes exactly the legacy assembly path: devices are
 cross-wired as peers on one link with no switch, no frame wrapping, and no
 routing lookups.
 
+The run is described by one :class:`~repro.config.ScenarioConfig`; only
+the non-serializable ``jitter``/``trace`` callables ride alongside it.  Its
+``transport`` becomes every stack's default data plane, for stream
+sockets whose options leave ``transport`` unset.
+
 Seed derivation is positional so the classic seeds are unchanged: host
 ``i`` gets stack seed ``seed*2+1+i`` (client/server = ``seed*2+1`` /
 ``seed*2+2``), edge ``i`` gets emulator seed ``seed+7+17*i`` and
@@ -30,13 +35,11 @@ impairment seed ``seed+13+29*i`` (edge 0 = the legacy ``seed+7`` /
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
-from .bench.profiles import FDR_INFINIBAND, HardwareProfile
 from .config import ScenarioConfig
-from .exs import ExsSocketOptions, ExsStack
+from .exs import TRANSPORT_WWI, ExsSocketOptions, ExsStack
 from .exs.eventqueue import ExsEventType
 from .hosts import Host
 from .simnet import (
@@ -52,7 +55,6 @@ from .simnet import (
     Topology,
 )
 from .simnet.fabric import host_delivery
-from .simnet.schedule import SchedulePolicy
 from .verbs import ConnectionManager, RdmaDevice, ReliabilityConfig, VerbsError
 from .verbs.comp_channel import uniform_wakeup
 
@@ -111,54 +113,33 @@ class Fabric:
 
     def __init__(
         self,
-        scenario: Optional[ScenarioConfig] = None,
+        scenario: ScenarioConfig,
         *,
-        topology: Optional[Topology] = None,
         jitter: Optional[Callable] = None,
         trace: Optional[Callable[[int, str, str], None]] = None,
-        profile: Optional[HardwareProfile] = None,
-        seed: int = 0,
-        faults=None,
-        reliability: Optional[ReliabilityConfig] = None,
-        schedule_policy: Optional[SchedulePolicy] = None,
-        srq_depth: Optional[int] = None,
-        cq_shards: int = 0,
     ) -> None:
-        if scenario is not None:
-            if (profile is not None or seed != 0 or faults is not None
-                    or reliability is not None or schedule_policy is not None
-                    or srq_depth is not None or cq_shards != 0):
-                raise ValueError(
-                    "pass either scenario= or the individual profile/seed/"
-                    "faults/reliability/schedule_policy knobs, not both"
-                )
-            if topology is not None and scenario.topology is not None:
-                raise ValueError("topology given both directly and in the scenario")
-            topology = topology or scenario.topology
-            profile = scenario.resolve_profile()
-            seed = scenario.seed
-            faults = scenario.faults
-            reliability = scenario.reliability
-            schedule_policy = scenario.schedule_policy()
-            srq_depth = scenario.srq_depth
-            cq_shards = scenario.cq_shards
-        profile = profile or FDR_INFINIBAND
-        self.topology = topology or Topology.point_to_point()
+        """Assemble the fabric *scenario* describes (its topology, or the
+        two-host wire when unset).  ``jitter``/``trace`` are callables —
+        not serializable, so not scenario fields — and compose on top.
+        """
+        profile = scenario.resolve_profile()
+        seed = scenario.seed
+        self.topology = scenario.topology or Topology.point_to_point()
         self.scenario = scenario
         self.profile = profile
         self.seed = seed
 
-        self.sim = Simulator(trace=trace, schedule_policy=schedule_policy)
+        self.sim = Simulator(trace=trace, schedule_policy=scenario.schedule_policy())
 
         #: the run's :class:`~repro.simnet.causality.CausalRecorder` when the
         #: scenario asked for capture (``causal_capture``/``flight_recorder``)
         self.causal = None
-        if scenario is not None and (scenario.causal_capture or scenario.flight_recorder):
+        if scenario.causal_capture or scenario.flight_recorder:
             from .simnet.causality import CausalRecorder, enable_capture
 
             try:
                 scenario_dict = scenario.to_dict()
-            except ValueError:  # ad-hoc unregistered profile: dump without it
+            except ValueError:  # unregistered profile / pre-built impairment
                 scenario_dict = None
             self.causal = enable_capture(self.sim, CausalRecorder(
                 capacity=None if scenario.causal_capture else scenario.flight_recorder,
@@ -184,7 +165,7 @@ class Fabric:
         self.impairments: Dict[str, ImpairmentModel] = {}
         #: per-edge links, keyed by canonical edge name (topology order)
         self.links: Dict[str, Link] = {}
-        edge_faults = self._resolve_faults(faults)
+        edge_faults = self._resolve_faults(scenario.faults)
         any_impaired = False
         for i, (a, b) in enumerate(topo.edges):
             name = topo.edge_names[i]
@@ -206,17 +187,9 @@ class Fabric:
                 impairment=impairment,
             )
 
+        reliability = scenario.reliability
         if any_impaired and reliability is None:
             reliability = ReliabilityConfig.for_path(self._worst_path_one_way_ns())
-        # The CI variant matrix forces a reliability discipline across an
-        # unmodified suite: derive a path-scaled config if none exists yet,
-        # then pin its mode.
-        mode_env = os.environ.get("REPRO_RELIABILITY_MODE", "").strip()
-        if mode_env:
-            if reliability is None:
-                reliability = ReliabilityConfig.for_path(self._worst_path_one_way_ns())
-            if reliability.mode != mode_env:
-                reliability = replace(reliability, mode=mode_env)
         self.reliability = reliability
         device_config = profile.device
         if reliability is not None:
@@ -258,14 +231,13 @@ class Fabric:
             switch.build_routes(topo.next_hops(name))
 
         self._stacks: Dict[str, ExsStack] = {}
-        self.srq_depth = srq_depth
-        self.cq_shards = cq_shards
         for i, name in enumerate(topo.hosts):
             device = self._devices[name]
             self._stacks[name] = ExsStack(
                 self.sim, self._hosts[name], device,
                 ConnectionManager(device), seed=seed * 2 + 1 + i,
-                srq_depth=srq_depth, cq_shards=cq_shards,
+                srq_depth=scenario.srq_depth, cq_shards=scenario.cq_shards,
+                transport=scenario.transport or TRANSPORT_WWI,
             )
 
         #: set by :meth:`attach_telemetry`
@@ -281,15 +253,12 @@ class Fabric:
         cls,
         scenario: ScenarioConfig,
         *,
-        topology: Optional[Topology] = None,
         jitter: Optional[Callable] = None,
         trace: Optional[Callable[[int, str, str], None]] = None,
     ) -> "Fabric":
         """Build the fabric a :class:`~repro.config.ScenarioConfig`
-        describes.  ``jitter``/``trace`` are callables — not serializable,
-        so not scenario fields — and compose on top.
-        """
-        return cls(scenario=scenario, topology=topology, jitter=jitter, trace=trace)
+        describes (same as calling the class)."""
+        return cls(scenario, jitter=jitter, trace=trace)
 
     def _resolve_faults(self, faults) -> Dict[int, ImpairmentModel]:
         """Normalize the faults spec into per-edge-index impairment models."""

@@ -35,10 +35,9 @@ completion tells the application it may reuse the memory).  Retransmission
 and fault-injected duplication may re-deliver a frame carrying the view, but
 the receiver's sequence check discards such frames *without* dereferencing
 the payload, so a released view is never read.  The rule is enforced by a
-debug assertion mode (:func:`set_pin_debug`, or the ``REPRO_ZC_DEBUG``
-environment variable): every in-flight slice takes a :class:`ViewPin` on its
-source range, writes into a pinned range raise, and placing a chunk whose
-pin was already released raises.
+debug assertion mode (:func:`set_pin_debug`): every in-flight slice takes a
+:class:`ViewPin` on its source range, writes into a pinned range raise, and
+placing a chunk whose pin was already released raises.
 
 A buffer can be the source of a write into *itself* (loopback-style reuse).
 Plain ``bytearray`` slice assignment from an overlapping ``memoryview`` of
@@ -62,7 +61,6 @@ connection that only ever takes the direct path) cost no zero-fill time.
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -82,7 +80,7 @@ class MemoryError_(RuntimeError):
 
 
 #: module-global debug switch for pin enforcement (see module docstring)
-_PIN_DEBUG = os.environ.get("REPRO_ZC_DEBUG", "") not in ("", "0")
+_PIN_DEBUG = False
 
 
 def set_pin_debug(enabled: bool) -> None:

@@ -18,43 +18,21 @@ exactly the same code path the standalone implementation did (one link,
 cross-wired peer devices, no switch), so event sequences are bit-identical
 to historical builds.
 
-The keyword-assembly spelling ``Testbed(profile, seed=..., faults=...)``
-still works as a deprecation shim; new code should describe the run as a
-:class:`repro.config.ScenarioConfig` so it serializes and replays.
+The run is described by one :class:`repro.config.ScenarioConfig`, so it
+serializes and replays; only the ``jitter``/``trace`` callables ride
+alongside it.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from .bench.profiles import FDR_INFINIBAND, HardwareProfile
-from .config import ScenarioConfig, deprecated_signature
+from .config import ScenarioConfig
 from .exs import ExsStack
 from .fabric import Fabric
-from .hosts import Host
-from .simnet import FaultProfile, ImpairmentModel, Topology
-from .simnet.schedule import SchedulePolicy
-from .verbs import RdmaDevice, ReliabilityConfig
+from .verbs import RdmaDevice
 
 __all__ = ["Testbed"]
-
-
-def _host_shim(which: str) -> property:
-    def getter(self: "Testbed") -> Host:
-        warnings.warn(
-            f"Testbed.{which}_host is deprecated; use .host({which!r}) "
-            "(the Fabric spelling; see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.host(which)
-
-    getter.__name__ = f"{which}_host"
-    getter.__doc__ = (
-        f"Deprecated alias for ``host({which!r})`` (emits DeprecationWarning)."
-    )
-    return property(getter)
 
 
 class Testbed(Fabric):
@@ -62,87 +40,27 @@ class Testbed(Fabric):
 
     def __init__(
         self,
-        profile: HardwareProfile = FDR_INFINIBAND,
-        *,
-        seed: int = 0,
-        jitter: Optional[Callable] = None,
-        trace: Optional[Callable[[int, str, str], None]] = None,
-        faults: Optional[Union[FaultProfile, ImpairmentModel]] = None,
-        reliability: Optional[ReliabilityConfig] = None,
-        schedule_policy: Optional[SchedulePolicy] = None,
-        scenario: Optional[ScenarioConfig] = None,
-    ) -> None:
-        """*faults* makes the wire lossy: pass a
-        :class:`~repro.simnet.faults.FaultProfile` (an
-        :class:`~repro.simnet.faults.ImpairmentModel` is derived from the
-        testbed seed) or a fully-built model for down-windows/asymmetry.
-        *reliability* enables the RC reliability layer on both devices;
-        when *faults* is set and *reliability* is not, a config scaled to
-        the path's one-way latency is derived automatically — an impaired
-        wire without retransmission machinery loses data by design.
-
-        Passing *scenario* is the preferred spelling: profile, seed,
-        faults, reliability, and the schedule policy are taken from it (and
-        must not also be passed as keywords).  Assembling those knobs as
-        keyword arguments is deprecated.  For topologies beyond the
-        two-host wire, use :class:`repro.fabric.Fabric`.
-        """
-        if scenario is not None:
-            if (
-                profile is not FDR_INFINIBAND
-                or seed != 0
-                or faults is not None
-                or reliability is not None
-                or schedule_policy is not None
-            ):
-                raise ValueError(
-                    "pass either scenario= or the individual profile/seed/"
-                    "faults/reliability/schedule_policy knobs, not both"
-                )
-            if scenario.topology is not None and not scenario.topology.direct:
-                raise ValueError(
-                    "Testbed is the two-host wire; build multi-host "
-                    "topologies with repro.fabric.Fabric"
-                )
-            super().__init__(scenario=scenario, jitter=jitter, trace=trace)
-        else:
-            deprecated_signature(
-                "assembling Testbed(...) from scattered keyword arguments",
-                "describe the run as a repro.ScenarioConfig and use "
-                "Testbed.from_scenario(scenario) or Testbed(scenario=...)",
-            )
-            super().__init__(
-                topology=Topology.point_to_point(),
-                jitter=jitter,
-                trace=trace,
-                profile=profile,
-                seed=seed,
-                faults=faults,
-                reliability=reliability,
-                schedule_policy=schedule_policy,
-            )
-
-    @classmethod
-    def from_scenario(
-        cls,
         scenario: ScenarioConfig,
         *,
         jitter: Optional[Callable] = None,
         trace: Optional[Callable[[int, str, str], None]] = None,
-    ) -> "Testbed":
-        """Build the testbed a :class:`~repro.config.ScenarioConfig`
-        describes.  ``jitter``/``trace`` are callables — not serializable,
-        so not scenario fields — and compose on top.
+    ) -> None:
+        """Assemble the two-host wire *scenario* describes.
+
+        A lossy wire (``scenario.faults``) without ``scenario.reliability``
+        gets a reliability config scaled to the path's one-way latency —
+        an impaired wire without retransmission machinery loses data by
+        design.  For topologies beyond the two-host wire, use
+        :class:`repro.fabric.Fabric`.
         """
-        return cls(jitter=jitter, trace=trace, scenario=scenario)
+        if scenario.topology is not None and not scenario.topology.direct:
+            raise ValueError(
+                "Testbed is the two-host wire; build multi-host "
+                "topologies with repro.fabric.Fabric"
+            )
+        super().__init__(scenario, jitter=jitter, trace=trace)
 
-    # -- two-host accessors --------------------------------------------
-    # The canonical spelling is the Fabric one (host("client"), stack,
-    # device); client/server remain first-class conveniences, while the
-    # *_host attribute spellings are deprecation shims.
-    client_host = _host_shim("client")
-    server_host = _host_shim("server")
-
+    # -- two-host accessors (the Fabric spelling is host/stack/device) ---
     @property
     def client(self) -> ExsStack:
         """The EXS stack on the client host."""

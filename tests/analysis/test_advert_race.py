@@ -6,6 +6,7 @@ from repro.analysis import ModePrediction, predict_mode
 from repro.analysis.advert_race import jitter_spread_ns, structural_lag_ns
 from repro.apps import BlastConfig, FixedSizes, run_blast
 from repro.bench.profiles import FDR_INFINIBAND
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 
 KIB = 1024
@@ -57,7 +58,8 @@ def test_validation_against_simulation():
                 outstanding_recvs=recvs,
                 mode=ProtocolMode.DYNAMIC,
             )
-            out.append(run_blast(cfg, seed=seed, max_events=100_000_000).direct_ratio)
+            out.append(run_blast(cfg, scenario=ScenarioConfig(seed=seed),
+                                 max_events=100_000_000).direct_ratio)
         return out
 
     cases = [

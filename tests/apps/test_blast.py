@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import BlastConfig, ExponentialSizes, FixedSizes, run_blast
 from repro.bench.profiles import ROCE_10G_LAN
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 
 
@@ -16,7 +17,7 @@ def test_blast_moves_every_byte_with_real_data():
         recv_buffer_bytes=100_000,
         real_data=True,
     )
-    r = run_blast(cfg, seed=2, max_events=50_000_000)
+    r = run_blast(cfg, scenario=ScenarioConfig(seed=2), max_events=50_000_000)
     assert r.total_bytes == sum(cfg.sizes.sizes(30))
     assert r.throughput_bps > 0
     assert r.end_ns > r.start_ns
@@ -25,9 +26,9 @@ def test_blast_moves_every_byte_with_real_data():
 def test_blast_is_deterministic_per_seed():
     cfg = BlastConfig(total_messages=50, sizes=ExponentialSizes(seed=9),
                       outstanding_sends=4, outstanding_recvs=4)
-    a = run_blast(cfg, seed=3, max_events=50_000_000)
-    b = run_blast(cfg, seed=3, max_events=50_000_000)
-    c = run_blast(cfg, seed=4, max_events=50_000_000)
+    a = run_blast(cfg, scenario=ScenarioConfig(seed=3), max_events=50_000_000)
+    b = run_blast(cfg, scenario=ScenarioConfig(seed=3), max_events=50_000_000)
+    c = run_blast(cfg, scenario=ScenarioConfig(seed=4), max_events=50_000_000)
     assert a.throughput_bps == b.throughput_bps
     assert a.end_ns == b.end_ns
     assert a.tx_stats.direct_transfers == b.tx_stats.direct_transfers
@@ -37,7 +38,7 @@ def test_blast_is_deterministic_per_seed():
 def test_blast_stats_exposed():
     cfg = BlastConfig(total_messages=25, sizes=FixedSizes(1 << 16),
                       recv_buffer_bytes=1 << 16)
-    r = run_blast(cfg, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=50_000_000)
     assert r.tx_stats.total_transfers >= 25
     assert 0.0 <= r.direct_ratio <= 1.0
     assert 0.0 <= r.receiver_cpu <= 1.0
@@ -48,7 +49,8 @@ def test_blast_stats_exposed():
 def test_blast_on_other_profile():
     cfg = BlastConfig(total_messages=20, sizes=FixedSizes(1 << 16),
                       recv_buffer_bytes=1 << 16)
-    r = run_blast(cfg, ROCE_10G_LAN, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, scenario=ScenarioConfig(profile=ROCE_10G_LAN, seed=1),
+                  max_events=50_000_000)
     # 10 GbE can never beat its wire rate
     assert r.throughput_bps < 10e9
 
@@ -56,12 +58,12 @@ def test_blast_on_other_profile():
 def test_blast_waitall_mode():
     cfg = BlastConfig(total_messages=10, sizes=FixedSizes(1 << 16),
                       recv_buffer_bytes=1 << 16, waitall=True, real_data=True)
-    r = run_blast(cfg, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=50_000_000)
     assert r.total_bytes == 10 * (1 << 16)
 
 
 def test_blast_single_message():
     cfg = BlastConfig(total_messages=1, sizes=FixedSizes(4096),
                       recv_buffer_bytes=4096)
-    r = run_blast(cfg, seed=1, max_events=10_000_000)
+    r = run_blast(cfg, scenario=ScenarioConfig(seed=1), max_events=10_000_000)
     assert r.total_bytes == 4096

@@ -7,6 +7,10 @@ so any ordering or accounting violation raises ``SafetyViolation`` and
 fails the test — byte-exact payload equality plus a clean run *is* the
 invariant check.
 
+Every test builds its testbed through the ``variant`` fixture
+(tests/chaos/conftest.py), so ``test_variants.py`` re-runs it over each
+reliability mode x data plane.
+
 Set ``REPRO_CHAOS_QUALITY=smoke`` for a reduced sweep (CI smoke target).
 """
 
@@ -18,7 +22,6 @@ import pytest
 from helpers import run_procs
 from repro.exs import BlockingSocket, ExsError
 from repro.simnet import DUP_AND_CORRUPT, FaultProfile, ImpairmentModel
-from repro.testbed import Testbed
 from repro.verbs import ReliabilityConfig
 
 SMOKE = os.environ.get("REPRO_CHAOS_QUALITY", "").lower() == "smoke"
@@ -64,6 +67,7 @@ def run_transfer(tb, payload, *, chunk=10_000, recv=8192, port=4321):
             chunks.append(data)
         out["data"] = b"".join(chunks)
         out["server_done_ns"] = tb.sim.now
+        out["rx_conn"] = conn.sock.conn
 
     def client():
         conn = yield from BlockingSocket.connect(tb.client, port)
@@ -71,6 +75,7 @@ def run_transfer(tb, payload, *, chunk=10_000, recv=8192, port=4321):
             yield from conn.send_bytes(payload[off:off + chunk])
         yield from conn.close()
         out["client_done_ns"] = tb.sim.now
+        out["tx_conn"] = conn.sock.conn
 
     run_procs(tb.sim, server(), client(), max_events=200_000_000)
     return out
@@ -80,15 +85,16 @@ def run_transfer(tb, payload, *, chunk=10_000, recv=8192, port=4321):
 # acceptance: faults disabled == faults absent, bit for bit
 # ---------------------------------------------------------------------------
 
-def test_zero_impairment_is_bit_identical_to_baseline():
+def test_zero_impairment_is_bit_identical_to_baseline(variant):
     """An all-zero fault profile (reliability machinery armed but idle) must
     reproduce the unimpaired simulation exactly: same bytes, same end times."""
     payload = payload_for(5)
-    baseline = Testbed(seed=5)
+    baseline = variant.testbed(seed=5)
     ref = run_transfer(baseline, payload)
 
-    tb = Testbed(seed=5, faults=ImpairmentModel(FaultProfile(), seed=999))
+    tb = variant.testbed(seed=5, faults=ImpairmentModel(FaultProfile(), seed=999))
     out = run_transfer(tb, payload)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
 
     assert ref["data"] == payload
     assert out["data"] == payload
@@ -105,10 +111,11 @@ def test_zero_impairment_is_bit_identical_to_baseline():
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("drop", DROP_RATES)
-def test_drop_sweep_delivers_every_byte_in_order(drop, seed):
-    tb = Testbed(seed=seed, faults=FaultProfile(drop_prob=drop))
+def test_drop_sweep_delivers_every_byte_in_order(drop, seed, variant):
+    tb = variant.testbed(seed=seed, faults=FaultProfile(drop_prob=drop))
     payload = payload_for(seed)
     out = run_transfer(tb, payload)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
     # anything the wire ate must have been recovered by a retransmission
     if tb.impairment.dropped_total:
@@ -116,13 +123,14 @@ def test_drop_sweep_delivers_every_byte_in_order(drop, seed):
     assert rel_totals(tb)["qp_fatal"] == 0
 
 
-def test_heavy_drop_actually_exercises_recovery():
+def test_heavy_drop_actually_exercises_recovery(variant):
     """Guard against a vacuously green sweep: at 20% drop over many small
     chunks the impairment model must fire and recovery must engage.  (The
     seed is pinned to a run where retries suffice; some seeds legitimately
     exhaust retry_cnt at this loss rate and surface an error instead.)"""
-    tb = Testbed(seed=2, faults=FaultProfile(drop_prob=0.2))
+    tb = variant.testbed(seed=2, faults=FaultProfile(drop_prob=0.2))
     out = run_transfer(tb, payload_for(2), chunk=4_000)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload_for(2)
     assert tb.impairment.dropped_total > 0
     totals = rel_totals(tb)
@@ -130,12 +138,13 @@ def test_heavy_drop_actually_exercises_recovery():
     assert totals["recoveries"] > 0
 
 
-def test_rechunking_under_loss_preserves_stream_order():
+def test_rechunking_under_loss_preserves_stream_order(variant):
     """Stream semantics survive loss: odd recv sizes re-chunk the stream
     while the transport is dropping and recovering frames underneath."""
-    tb = Testbed(seed=2, faults=FaultProfile(drop_prob=0.03))
+    tb = variant.testbed(seed=2, faults=FaultProfile(drop_prob=0.03))
     payload = payload_for(2)
     out = run_transfer(tb, payload, chunk=7_777, recv=1_013)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
 
 
@@ -143,11 +152,12 @@ def test_rechunking_under_loss_preserves_stream_order():
 # determinism: one seed, one simulation
 # ---------------------------------------------------------------------------
 
-def test_chaos_runs_are_bit_identical_per_seed():
+def test_chaos_runs_are_bit_identical_per_seed(variant):
     def run_once():
-        tb = Testbed(seed=4, faults=FaultProfile(drop_prob=0.05,
-                                                 duplicate_prob=0.02))
+        tb = variant.testbed(seed=4, faults=FaultProfile(drop_prob=0.05,
+                                                         duplicate_prob=0.02))
         out = run_transfer(tb, payload_for(4))
+        variant.check(tb, out.pop("tx_conn"), out.pop("rx_conn"))
         return out, rel_totals(tb), fault_totals(tb)
 
     first, second = run_once(), run_once()
@@ -158,10 +168,11 @@ def test_chaos_runs_are_bit_identical_per_seed():
 # duplication + corruption: integrity, not just delivery
 # ---------------------------------------------------------------------------
 
-def test_duplication_and_corruption_do_not_corrupt_the_stream():
-    tb = Testbed(seed=3, faults=DUP_AND_CORRUPT)
+def test_duplication_and_corruption_do_not_corrupt_the_stream(variant):
+    tb = variant.testbed(seed=3, faults=DUP_AND_CORRUPT)
     payload = payload_for(3)
     out = run_transfer(tb, payload)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
     assert tb.impairment.duplicated_total + tb.impairment.corrupted_total > 0
     totals = rel_totals(tb)
@@ -172,12 +183,13 @@ def test_duplication_and_corruption_do_not_corrupt_the_stream():
 # link flap: scheduled outage mid-transfer
 # ---------------------------------------------------------------------------
 
-def test_link_flap_mid_transfer_recovers():
+def test_link_flap_mid_transfer_recovers(variant):
     faults = ImpairmentModel(FaultProfile(), seed=7,
                              down_windows=((30_000, 900_000),))
-    tb = Testbed(seed=2, faults=faults)
+    tb = variant.testbed(seed=2, faults=faults)
     payload = payload_for(6)
     out = run_transfer(tb, payload)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
     assert faults.down_dropped_total + faults.acks_dropped_total > 0
     assert rel_totals(tb)["retransmits"] > 0
@@ -190,15 +202,16 @@ def test_link_flap_mid_transfer_recovers():
 # retry exhaustion: fail loudly, never hang
 # ---------------------------------------------------------------------------
 
-def test_total_loss_surfaces_error_on_both_sides_without_hanging():
+def test_total_loss_surfaces_error_on_both_sides_without_hanging(variant):
     """drop_prob=1.0 kills every data frame.  Retries must exhaust, both
     QPs must reach ERROR, and both blocked applications must observe an
     ExsError — the simulation terminates instead of deadlocking."""
-    tb = Testbed(
+    tb = variant.testbed(
         seed=3,
         faults=FaultProfile(drop_prob=1.0),
         reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=3),
     )
+    variant.check(tb)
 
     def server():
         try:
@@ -226,16 +239,17 @@ def test_total_loss_surfaces_error_on_both_sides_without_hanging():
     assert dead, "no QP reached ERROR state"
 
 
-def test_total_loss_run_is_deterministic():
+def test_total_loss_run_is_deterministic(variant):
     """The failure path itself is reproducible: same seed, same error
     surfacing time and counters."""
 
     def run_once():
-        tb = Testbed(
+        tb = variant.testbed(
             seed=9,
             faults=FaultProfile(drop_prob=1.0),
             reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=2),
         )
+        variant.check(tb)
 
         def client():
             try:

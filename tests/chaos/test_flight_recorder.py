@@ -21,8 +21,8 @@ from repro.testbed import Testbed
 from repro.verbs import ReliabilityConfig
 
 
-def _run_retry_exhaustion(tmp_path, flight=128):
-    scenario = ScenarioConfig(
+def _run_retry_exhaustion(tmp_path, variant, flight=128):
+    scenario = variant.scenario(
         seed=3,
         faults=FaultProfile(drop_prob=1.0),
         reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=3),
@@ -30,6 +30,7 @@ def _run_retry_exhaustion(tmp_path, flight=128):
         telemetry_dir=str(tmp_path),
     )
     tb = Testbed.from_scenario(scenario)
+    variant.check(tb)
 
     def server():
         try:
@@ -50,8 +51,8 @@ def _run_retry_exhaustion(tmp_path, flight=128):
     return tb, scenario
 
 
-def test_qp_error_auto_dumps_flight_artifact(tmp_path):
-    tb, scenario = _run_retry_exhaustion(tmp_path)
+def test_qp_error_auto_dumps_flight_artifact(tmp_path, variant):
+    tb, scenario = _run_retry_exhaustion(tmp_path, variant)
     rec = tb.causal
     assert rec is not None
     reasons = [d["reason"] for d in rec.dumps]
@@ -68,10 +69,10 @@ def test_qp_error_auto_dumps_flight_artifact(tmp_path):
     assert loaded["context"]["status"] == "retry_exceeded"
 
 
-def test_dump_tail_reconstructs_retransmit_chain(tmp_path):
+def test_dump_tail_reconstructs_retransmit_chain(tmp_path, variant):
     """The acceptance criterion: failure ← rto_timer ← rto_timer ← ... —
     the dump's tail explains *why* the QP died, by parent links alone."""
-    tb, _ = _run_retry_exhaustion(tmp_path)
+    tb, _ = _run_retry_exhaustion(tmp_path, variant)
     dump = next(d for d in tb.causal.dumps if d["reason"] == "qp_error")
     chain = flight_chain(dump)
     assert chain[0]["category"] == "failure"
@@ -88,8 +89,8 @@ def test_dump_tail_reconstructs_retransmit_chain(tmp_path):
     assert all(b > a for a, b in zip(waits, waits[1:]))
 
 
-def test_ring_stays_bounded_during_failure_run(tmp_path):
-    tb, _ = _run_retry_exhaustion(tmp_path, flight=64)
+def test_ring_stays_bounded_during_failure_run(tmp_path, variant):
+    tb, _ = _run_retry_exhaustion(tmp_path, variant, flight=64)
     rec = tb.causal
     # retained nodes: the 64-deep ring plus still-pending placements only
     assert len(rec.fired_nodes()) <= 64
@@ -98,9 +99,9 @@ def test_ring_stays_bounded_during_failure_run(tmp_path):
         assert len(dump["events"]) <= 64
 
 
-def test_failure_run_is_deterministic(tmp_path):
-    a, _ = _run_retry_exhaustion(tmp_path / "a")
-    b, _ = _run_retry_exhaustion(tmp_path / "b")
+def test_failure_run_is_deterministic(tmp_path, variant):
+    a, _ = _run_retry_exhaustion(tmp_path / "a", variant)
+    b, _ = _run_retry_exhaustion(tmp_path / "b", variant)
 
     # Device/QP numbers come from a process-global counter and the artifact
     # paths from tmp dirs, so compare the causal skeleton: same failures at

@@ -12,6 +12,9 @@ view-pinning debug assertions and checks exact per-byte copy accounting:
 two copies per eager byte (slot placement + copy-out), one per rendezvous
 byte (placement into the granted buffer).
 
+The sockets pin the eager/rendezvous plane, so ``test_variants.py``
+re-runs these tests over both reliability modes on that plane.
+
 Set ``REPRO_CHAOS_QUALITY=smoke`` for a reduced sweep (CI smoke target).
 """
 
@@ -24,7 +27,6 @@ from helpers import run_procs
 from repro.exs import TRANSPORT_EAGER_RENDEZVOUS, BlockingSocket, ExsSocketOptions
 from repro.hosts.memory import set_pin_debug
 from repro.simnet import FaultProfile
-from repro.testbed import Testbed
 
 SMOKE = os.environ.get("REPRO_CHAOS_QUALITY", "").lower() == "smoke"
 SEEDS = (1,) if SMOKE else (1, 2, 3)
@@ -82,45 +84,48 @@ def assert_accounting(out, pieces):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("waitall", (False, True))
-def test_eager_chaos_stream_is_bit_identical(seed, waitall):
+def test_eager_chaos_stream_is_bit_identical(seed, waitall, variant):
     """Eager-only traffic under drops + duplicates: retransmitted SENDs
     replay bounce-slot placements, yet delivery order, copy counts, and
     pins all stay exact."""
-    tb = Testbed(seed=seed, faults=CHAOS)
+    tb = variant.testbed(seed=seed, faults=CHAOS)
     rng = random.Random(seed * 7919 + 1)
     n = 6 if SMOKE else 12
     pieces = [rng.randbytes(rng.randrange(64, RDV.eager_threshold)) for _ in range(n)]
     out = run_transfer(tb, pieces, waitall=waitall)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert_accounting(out, pieces)
     assert tb.impairment.dropped_total + tb.impairment.duplicated_total > 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_mixed_transport_chaos_preserves_accounting(seed):
+def test_mixed_transport_chaos_preserves_accounting(seed, variant):
     """Interleaved eager and rendezvous messages under chaos: the RTS/CTS
     handshake and the data plane recover independently, and each byte is
     still copied exactly its class's count."""
-    tb = Testbed(seed=seed + 100, faults=CHAOS)
+    tb = variant.testbed(seed=seed + 100, faults=CHAOS)
     rng = random.Random(seed * 104729 + 3)
     pieces = []
     for _ in range(4 if SMOKE else 8):
         pieces.append(rng.randbytes(rng.randrange(64, 8_000)))
         pieces.append(rng.randbytes(rng.randrange(20_000, 80_000)))
     out = run_transfer(tb, pieces, recv=16_384)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert_accounting(out, pieces)
     assert tb.impairment.dropped_total + tb.impairment.duplicated_total > 0
     if tb.impairment.dropped_total:
         assert tb.client_device.reliability.stats.retransmits > 0
 
 
-def test_mixed_transport_chaos_is_deterministic():
+def test_mixed_transport_chaos_is_deterministic(variant):
     """Same seed → same bytes and same copy accounting under chaos."""
 
     def run_once():
-        tb = Testbed(seed=9, faults=CHAOS)
+        tb = variant.testbed(seed=9, faults=CHAOS)
         rng = random.Random(424243)
         pieces = [rng.randbytes(n) for n in (500, 30_000, 7_000, 55_000, 1_200)]
         out = run_transfer(tb, pieces, recv=10_000)
+        variant.check(tb, out["tx_conn"], out["rx_conn"])
         return (out["data"],
                 out["tx_conn"].copy_meter.snapshot(),
                 out["rx_conn"].copy_meter.snapshot())

@@ -16,6 +16,9 @@ bit-identical to what the application sent, and the per-connection
 placement copy per payload byte on the direct path, exactly two on the
 forced-indirect path (ring placement + ring→user copy-out).
 
+The sockets pin the WWI plane, so ``test_variants.py`` re-runs these
+tests over both reliability modes on that plane.
+
 Set ``REPRO_CHAOS_QUALITY=smoke`` for a reduced sweep (CI smoke target).
 """
 
@@ -25,12 +28,10 @@ import random
 import pytest
 
 from helpers import run_procs
-from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import TRANSPORT_WWI, BlockingSocket, ExsEventType, ExsSocketOptions
 from repro.hosts.memory import set_pin_debug
 from repro.simnet import FaultProfile
-from repro.testbed import Testbed
 
 SMOKE = os.environ.get("REPRO_CHAOS_QUALITY", "").lower() == "smoke"
 SEEDS = (1,) if SMOKE else (1, 2, 3)
@@ -51,12 +52,10 @@ def payload_for(seed, nbytes=PAYLOAD_BYTES):
     return random.Random(seed * 6211 + 5).randbytes(nbytes)
 
 
-def make_testbed(seed, faults=None, mode=None):
-    scenario = ScenarioConfig(seed=seed, faults=faults)
-    tb = Testbed.from_scenario(scenario)
+def make_testbed(variant, seed, faults=None, mode=None):
+    tb = variant.testbed(seed=seed, faults=faults)
     # These assertions describe the WWI plane's copy discipline (direct=1,
-    # indirect=2 copies/byte); pin the transport so a REPRO_TRANSPORT
-    # matrix run doesn't redirect them onto the eager/rendezvous plane.
+    # indirect=2 copies/byte), so the sockets pin that plane.
     options = ExsSocketOptions(
         mode=mode if mode is not None else ProtocolMode.DYNAMIC,
         transport=TRANSPORT_WWI,
@@ -105,14 +104,15 @@ def assert_plane_clean(*conns):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_stream_is_bit_identical_with_pins_armed(seed):
+def test_chaos_stream_is_bit_identical_with_pins_armed(seed, variant):
     """Drops + duplicates with real bytes: the retransmission path replays
     the original view-carrying messages and the wire re-delivers some of
     them twice, yet the delivered stream is bit-identical and no in-flight
     source range is ever overwritten (pin assertions would raise)."""
-    tb, _ = make_testbed(seed, faults=CHAOS)
+    tb, _ = make_testbed(variant, seed, faults=CHAOS)
     payload = payload_for(seed)
     out = run_transfer(tb, payload, chunk=6_000)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
     assert_plane_clean(out["tx_conn"], out["rx_conn"])
     # non-vacuous: the wire actually misbehaved and recovery actually ran
@@ -122,7 +122,7 @@ def test_chaos_stream_is_bit_identical_with_pins_armed(seed):
         assert rel.retransmits > 0
 
 
-def test_sender_buffer_reuse_under_duplication_never_corrupts():
+def test_sender_buffer_reuse_under_duplication_never_corrupts(variant):
     """The hard aliasing case: one send buffer, refilled with different
     bytes for every message the moment the previous SEND completes, while
     the wire duplicates and drops frames carrying views of that buffer.
@@ -132,7 +132,8 @@ def test_sender_buffer_reuse_under_duplication_never_corrupts():
     dereferencing the payload, or the assembled stream would contain bytes
     from the wrong message.  The refill itself proves every pin on the
     buffer was released by completion time (a live pin would raise)."""
-    tb, wwi_options = make_testbed(7, faults=FaultProfile(drop_prob=0.02, duplicate_prob=0.10))
+    tb, wwi_options = make_testbed(
+        variant, 7, faults=FaultProfile(drop_prob=0.02, duplicate_prob=0.10))
     msg_bytes = 8_192
     n_msgs = 6 if SMOKE else 12
     rng = random.Random(40427)
@@ -163,6 +164,7 @@ def test_sender_buffer_reuse_under_duplication_never_corrupts():
         yield from conn.close()
 
     run_procs(tb.sim, server(), client(), max_events=200_000_000)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == b"".join(pieces)
     assert_plane_clean(out["tx_conn"], out["rx_conn"])
     assert tb.impairment.duplicated_total > 0
@@ -170,12 +172,13 @@ def test_sender_buffer_reuse_under_duplication_never_corrupts():
     assert rel.duplicates_dropped > 0  # stale views arrived and were discarded
 
 
-def test_chaos_run_with_meters_is_deterministic():
+def test_chaos_run_with_meters_is_deterministic(variant):
     """Same seed → same bytes *and* same copy accounting, pins included."""
 
     def run_once():
-        tb, _ = make_testbed(4, faults=CHAOS)
+        tb, _ = make_testbed(variant, 4, faults=CHAOS)
         out = run_transfer(tb, payload_for(4))
+        variant.check(tb, out["tx_conn"], out["rx_conn"])
         return (out["data"],
                 out["tx_conn"].copy_meter.snapshot(),
                 out["rx_conn"].copy_meter.snapshot())
@@ -187,13 +190,14 @@ def test_chaos_run_with_meters_is_deterministic():
 # copy accounting: "exactly once" on the direct path, exactly twice indirect
 # ---------------------------------------------------------------------------
 
-def test_direct_path_copies_each_payload_byte_exactly_once():
+def test_direct_path_copies_each_payload_byte_exactly_once(variant):
     """Forced-direct transfer: every payload byte is copied exactly once
     end to end (final placement into the advertised user buffer), and the
     sender performs zero payload copies — only view forwards."""
-    tb, options = make_testbed(11, mode=ProtocolMode.DIRECT_ONLY)
+    tb, options = make_testbed(variant, 11, mode=ProtocolMode.DIRECT_ONLY)
     payload = payload_for(11)
     out = run_transfer(tb, payload, options=options, chunk=8_192, recv=8_192)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
     assert out["tx_conn"].tx_stats.indirect_transfers == 0
     rx_meter = out["rx_conn"].copy_meter
@@ -204,12 +208,13 @@ def test_direct_path_copies_each_payload_byte_exactly_once():
     assert_plane_clean(out["tx_conn"], out["rx_conn"])
 
 
-def test_indirect_path_copies_each_payload_byte_exactly_twice():
+def test_indirect_path_copies_each_payload_byte_exactly_twice(variant):
     """Forced-indirect transfer: ring placement + ring→user copy-out, so
     the receiver's meter records exactly two copies per payload byte."""
-    tb, options = make_testbed(12, mode=ProtocolMode.INDIRECT_ONLY)
+    tb, options = make_testbed(variant, 12, mode=ProtocolMode.INDIRECT_ONLY)
     payload = payload_for(12)
     out = run_transfer(tb, payload, options=options, chunk=8_192, recv=8_192)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
     assert out["tx_conn"].tx_stats.direct_transfers == 0
     rx_meter = out["rx_conn"].copy_meter
@@ -218,17 +223,19 @@ def test_indirect_path_copies_each_payload_byte_exactly_twice():
     assert_plane_clean(out["tx_conn"], out["rx_conn"])
 
 
-def test_direct_accounting_survives_chaos():
+def test_direct_accounting_survives_chaos(variant):
     """The exactly-once invariant is per *delivered* byte, not per wire
     frame: retransmitted and duplicated frames must not inflate the
     placement count on the forced-direct path."""
     tb, options = make_testbed(
+        variant,
         13,
         faults=FaultProfile(drop_prob=0.08, duplicate_prob=0.08),
         mode=ProtocolMode.DIRECT_ONLY,
     )
     payload = payload_for(13)
     out = run_transfer(tb, payload, options=options, chunk=4_096, recv=8_192)
+    variant.check(tb, out["tx_conn"], out["rx_conn"])
     assert out["data"] == payload
     assert tb.impairment.dropped_total + tb.impairment.duplicated_total > 0
     assert out["rx_conn"].copy_meter.payload_bytes_copied == len(payload)

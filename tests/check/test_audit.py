@@ -11,11 +11,12 @@ from repro.apps.workloads import FixedSizes
 from repro.check import audit_csv, audit_events, audit_spans
 from repro.config import ScenarioConfig
 from repro.simnet import FaultProfile
+from repro.testbed import Testbed
 from repro.trace import ProtocolTracer, TraceEvent, events_from_csv
 
 
 def _traced_run(scenario: ScenarioConfig, messages: int = 12):
-    tb = scenario.build_testbed()
+    tb = Testbed.from_scenario(scenario)
     tracer = ProtocolTracer.attach(tb)
     cfg = BlastConfig(
         total_messages=messages,
@@ -128,7 +129,7 @@ def test_eager_rendezvous_run_audits_ok(msg_bytes):
     rendezvous above) produce records that satisfy contiguity, FIN
     uniqueness, EOF finality, and conservation."""
     scenario = ScenarioConfig(seed=5, transport="eager_rendezvous")
-    tb = scenario.build_testbed()
+    tb = Testbed.from_scenario(scenario)
     tracer = ProtocolTracer.attach(tb)
     cfg = BlastConfig(total_messages=8, sizes=FixedSizes(msg_bytes),
                       outstanding_sends=3, outstanding_recvs=3)

@@ -5,13 +5,14 @@ import os
 import pytest
 
 from helpers import run_procs
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import BlockingSocket, ExsSocketOptions, SocketType
 from repro.testbed import Testbed
 
 
 def run_exchange(options, nbytes=100_000, seed=21):
-    tb = Testbed(seed=seed)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=seed))
     out = {}
 
     def server():
@@ -55,7 +56,7 @@ def test_credit_conservation_end_to_end():
 
 
 def test_hello_carries_ring_and_credits():
-    tb = Testbed(seed=22)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=22))
     opts = ExsSocketOptions(credits=48, ring_capacity=123_456)
     out = {}
 
@@ -83,7 +84,7 @@ def test_hello_carries_ring_and_credits():
 def test_seqpacket_ignores_sender_copy():
     """sender_copy is a stream-semantics option; SOCK_SEQPACKET keeps its
     one-message-one-transfer behaviour."""
-    tb = Testbed(seed=23)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=23))
     opts = ExsSocketOptions(sender_copy=True)
     out = {}
 

@@ -5,12 +5,13 @@ import os
 import pytest
 
 from helpers import run_procs
+from repro.config import ScenarioConfig
 from repro.exs import BlockingSocket, ExsEventType, ExsSocketOptions
 from repro.testbed import Testbed
 
 
 def test_two_streams_share_the_fabric():
-    tb = Testbed(seed=6)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=6))
     payloads = {p: os.urandom(120_000) for p in (4801, 4802)}
     got = {}
 
@@ -38,7 +39,7 @@ def test_two_streams_share_the_fabric():
 
 def test_opposite_direction_connections():
     """A connection from each side simultaneously; streams stay separate."""
-    tb = Testbed(seed=7)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=7))
     out = {}
 
     def a_to_b_server():
@@ -67,7 +68,7 @@ def test_opposite_direction_connections():
 
 
 def test_connections_with_different_options_coexist():
-    tb = Testbed(seed=8)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=8))
     opts1 = ExsSocketOptions(ring_capacity=64 * 1024)
     opts2 = ExsSocketOptions(ring_capacity=1 << 20, native_write_with_imm=False)
     payload = os.urandom(80_000)
@@ -98,7 +99,7 @@ def test_heavy_bidirectional_traffic_on_one_connection():
     dynamic protocol; each direction keeps its own phases/ring/adverts.
     Each pumping process uses its own event queue (the asynchronous API
     allows any number of queues per socket)."""
-    tb = Testbed(seed=9)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=9))
     options = ExsSocketOptions(ring_capacity=128 * 1024)
     a_payload = os.urandom(200_000)
     b_payload = os.urandom(160_000)

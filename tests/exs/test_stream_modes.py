@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.apps import BlastConfig, FixedSizes, run_blast
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 
 
@@ -19,7 +20,7 @@ def blast(mode, *, sends=4, recvs=4, messages=40, size=64 * 1024, seed=2, **kw):
         real_data=True,
         **kw,
     )
-    return run_blast(cfg, seed=seed, max_events=50_000_000)
+    return run_blast(cfg, scenario=ScenarioConfig(seed=seed), max_events=50_000_000)
 
 
 def test_direct_only_never_touches_the_ring():

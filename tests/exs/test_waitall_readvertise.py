@@ -10,6 +10,7 @@ full simulated stack with real bytes.
 import os
 
 from helpers import run_procs
+from repro.config import ScenarioConfig
 from repro.exs import (
     BlockingSocket,
     ExsEventType,
@@ -20,7 +21,7 @@ from repro.testbed import Testbed
 
 
 def test_waitall_partial_fill_then_resync_direct():
-    tb = Testbed(seed=8)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=8))
     # Tiny ring so the first (indirect) piece cannot carry the whole recv.
     options = ExsSocketOptions(ring_capacity=4096)
     payload = os.urandom(64 * 1024)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from typing import Optional
+
+from repro.config import ScenarioConfig
 from repro.simnet import Event, Simulator
+from repro.testbed import Testbed
+from repro.verbs import ReliabilityConfig
 
 
 def run_procs(sim: Simulator, *generators, max_events: int = 5_000_000):
@@ -70,3 +76,53 @@ def event_soup(sim: Simulator, seed: int) -> list:
         ev.add_callback(lambda e, i=i: log.append(("ev", i, e._value, sim.now)))
         ev.succeed(value=i, delay=next(rnd) % 3)
     return log
+
+
+@dataclass(frozen=True)
+class ChaosVariant:
+    """One protocol variant of a chaos run, built as ScenarioConfig fields.
+
+    ``None`` leaves the field to the scenario: the WWI data plane, and a
+    go-back-N reliability layer derived for a lossy wire.  A set
+    ``reliability`` mode also arms the reliability layer on a clean wire.
+    """
+
+    reliability: Optional[str] = None
+    transport: Optional[str] = None
+
+    @property
+    def id(self) -> str:
+        return f"{self.reliability}-{self.transport}"
+
+    def scenario(self, **fields) -> ScenarioConfig:
+        scenario = ScenarioConfig(**fields)
+        if self.transport is not None:
+            scenario = scenario.with_(transport=self.transport)
+        if self.reliability is not None:
+            rel = scenario.reliability
+            if rel is None:
+                profile = scenario.resolve_profile()
+                rel = ReliabilityConfig.for_path(
+                    profile.propagation_delay_ns + profile.emulator_delay_ns)
+            scenario = scenario.with_(reliability=replace(rel, mode=self.reliability))
+        return scenario
+
+    def testbed(self, **fields) -> Testbed:
+        return Testbed.from_scenario(self.scenario(**fields))
+
+    def check(self, tb: Testbed, *conns) -> None:
+        """Assert the run really used this variant (coverage not lost)."""
+        if self.reliability is not None:
+            for device in (tb.client_device, tb.server_device):
+                assert device.reliability.config.mode == self.reliability
+        if self.transport is not None:
+            for conn in conns:
+                assert conn.transport == self.transport
+
+
+#: every {reliability mode} x {data plane} pair
+CHAOS_VARIANTS = tuple(
+    ChaosVariant(mode, transport)
+    for mode in ("gobackn", "selective_repeat")
+    for transport in ("wwi", "eager_rendezvous")
+)

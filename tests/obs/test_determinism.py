@@ -1,9 +1,8 @@
 """Telemetry observes, never perturbs: results are bit-identical either way."""
 
-import os
-
 from repro.apps import BlastConfig, ExponentialSizes, run_blast
 from repro.bench.experiment import SMOKE, run_grid
+from repro.config import ScenarioConfig
 from repro.obs import load_jsonl
 from repro.testbed import Testbed
 
@@ -21,8 +20,8 @@ def fingerprint(result):
 
 def test_results_identical_with_telemetry_on_and_off():
     cfg = BlastConfig(total_messages=120, sizes=ExponentialSizes(seed=6))
-    plain = run_blast(cfg, seed=6)
-    observed = run_blast(cfg, seed=6, telemetry=True)
+    plain = run_blast(cfg, scenario=ScenarioConfig(seed=6))
+    observed = run_blast(cfg, scenario=ScenarioConfig(seed=6, telemetry=True))
     assert fingerprint(plain) == fingerprint(observed)
 
 
@@ -30,27 +29,27 @@ def test_sampling_interval_does_not_change_results():
     cfg = BlastConfig(total_messages=60, sizes=ExponentialSizes(seed=9))
     runs = []
     for interval in (10_000, 1_000_000):
-        tb = Testbed(seed=9)
+        tb = Testbed.from_scenario(ScenarioConfig(seed=9))
         tb.attach_telemetry(sample_interval_ns=interval)
-        runs.append(run_blast(cfg, testbed=tb, seed=9))
+        runs.append(run_blast(cfg, testbed=tb))
     assert fingerprint(runs[0]) == fingerprint(runs[1])
 
 
 def test_telemetry_attach_is_reported_on_testbed():
-    tb = Testbed(seed=1)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=1))
     assert tb.telemetry is None
     tel = tb.attach_telemetry()
     assert tb.telemetry is tel
-    assert tb.client_host.telemetry is tel
-    assert tb.server_host.telemetry is tel
-    assert tb.client_host.tracer is tel.tracer
+    assert tb.host("client").telemetry is tel
+    assert tb.host("server").telemetry is tel
+    assert tb.host("client").tracer is tel.tracer
 
 
 def test_finish_is_idempotent():
     cfg = BlastConfig(total_messages=20, sizes=ExponentialSizes(seed=3))
-    tb = Testbed(seed=3)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=3))
     tel = tb.attach_telemetry()
-    run_blast(cfg, testbed=tb, seed=3)
+    run_blast(cfg, testbed=tb)
     spans = tel.finish(scenario="x")
     again = tel.finish()
     assert again is spans
@@ -59,8 +58,11 @@ def test_finish_is_idempotent():
 
 
 def test_env_var_emits_artifacts_from_sweep_workers(tmp_path):
+    """``scenario.telemetry_dir`` (the former ``REPRO_TELEMETRY_DIR``)
+    reaches sweep workers inside the pickled work unit."""
     cfg = BlastConfig(total_messages=40, sizes=ExponentialSizes(seed=1))
-    run_grid([cfg], quality=SMOKE, processes=2, telemetry_dir=str(tmp_path))
+    run_grid([cfg], SMOKE, processes=2,
+             scenario=ScenarioConfig(telemetry_dir=str(tmp_path)))
     files = sorted(tmp_path.glob("*.jsonl"))
     assert len(files) == len(SMOKE.seeds)
     for f in files:
@@ -68,4 +70,3 @@ def test_env_var_emits_artifacts_from_sweep_workers(tmp_path):
             art = load_jsonl(fh)
         assert art.meta["scenario"] == "blast"
         assert art.spans and all(s.complete for s in art.spans)
-    assert "REPRO_TELEMETRY_DIR" not in os.environ

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.apps import BlastConfig, ExponentialSizes, run_blast
+from repro.config import ScenarioConfig
 from repro.obs import (SCHEMA_VERSION, load_jsonl, render_report,
                        validate_records, write_csv, write_jsonl,
                        write_prometheus)
@@ -16,10 +17,10 @@ from repro.testbed import Testbed
 
 @pytest.fixture(scope="module")
 def session():
-    tb = Testbed(seed=4)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=4))
     tel = tb.attach_telemetry(sample_interval_ns=50_000)
     cfg = BlastConfig(total_messages=30, sizes=ExponentialSizes(seed=4))
-    run_blast(cfg, testbed=tb, seed=4, max_events=50_000_000)
+    run_blast(cfg, testbed=tb, max_events=50_000_000)
     tel.finish(scenario="export-test", seed=4)
     return tel
 

@@ -1,6 +1,7 @@
 """Span stitching: synthetic event streams and full simulated runs."""
 
 from repro.apps import BlastConfig, ExponentialSizes, FixedSizes, run_blast
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.obs import build_spans
 from repro.testbed import Testbed
@@ -92,9 +93,9 @@ def test_connections_without_sends_produce_no_spans():
 
 
 def run_with_telemetry(cfg, seed=2):
-    tb = Testbed(seed=seed)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=seed))
     tel = tb.attach_telemetry()
-    run_blast(cfg, testbed=tb, seed=seed, max_events=50_000_000)
+    run_blast(cfg, testbed=tb, max_events=50_000_000)
     tel.finish()
     return tel
 

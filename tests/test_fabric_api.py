@@ -10,6 +10,12 @@ from repro.simnet import FaultProfile, ImpairmentModel, SwitchConfig, Topology
 from repro.testbed import Testbed
 
 
+def _star(**fields):
+    """A fabric of hosts a, b, c around one switch."""
+    return Fabric.from_scenario(
+        ScenarioConfig(topology=Topology.star(["a", "b", "c"]), **fields))
+
+
 def _run_transfer(assembly, nbytes=20_000, options=None, port=4321):
     """One client→server stream on any two-host assembly; fingerprint tuple."""
     out = {}
@@ -38,18 +44,18 @@ def _run_transfer(assembly, nbytes=20_000, options=None, port=4321):
     {"faults": FaultProfile(drop_prob=0.05)},  # reliability auto-derived
 ], ids=["clean", "lossy"])
 def test_fabric_two_host_star_matches_testbed(seed, kwargs):
-    legacy = _run_transfer(Testbed(seed=seed, **kwargs))
-    star = _run_transfer(Fabric(
-        topology=Topology.star(["client", "server"]), seed=seed, **kwargs))
+    legacy = _run_transfer(Testbed.from_scenario(ScenarioConfig(seed=seed, **kwargs)))
+    star = _run_transfer(Fabric.from_scenario(ScenarioConfig(
+        topology=Topology.star(["client", "server"]), seed=seed, **kwargs)))
     assert star == legacy
 
 
 @pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
 def test_fabric_bit_identity_across_transports(transport):
     options = ExsSocketOptions(transport=transport)
-    legacy = _run_transfer(Testbed(seed=7), options=options)
-    fabric = _run_transfer(Fabric(topology=Topology.point_to_point(), seed=7),
-                           options=options)
+    legacy = _run_transfer(Testbed.from_scenario(ScenarioConfig(seed=7)), options=options)
+    fabric = _run_transfer(Fabric.from_scenario(
+        ScenarioConfig(topology=Topology.point_to_point(), seed=7)), options=options)
     assert fabric == legacy
 
 
@@ -57,21 +63,12 @@ def test_from_scenario_matches_direct_construction():
     sc = ScenarioConfig(seed=5)
     assert (_run_transfer(Testbed.from_scenario(sc))
             == _run_transfer(Fabric.from_scenario(sc))
-            == _run_transfer(Testbed(seed=5)))
+            == _run_transfer(Testbed(sc)))
 
 
 # ----------------------------------------------------------------------
-# Testbed surface: shims and scenario validation
+# Testbed surface: scenario validation
 # ----------------------------------------------------------------------
-def test_client_host_attribute_shim_warns():
-    tb = Testbed(seed=0)
-    with pytest.warns(DeprecationWarning, match="client_host is deprecated"):
-        host = tb.client_host
-    assert host is tb.host("client")
-    with pytest.warns(DeprecationWarning, match="server_host is deprecated"):
-        assert tb.server_host is tb.host("server")
-
-
 def test_testbed_rejects_multi_host_topology():
     sc = ScenarioConfig(topology=Topology.star(["a", "b", "c"]))
     with pytest.raises(ValueError, match="two-host wire"):
@@ -79,18 +76,23 @@ def test_testbed_rejects_multi_host_topology():
 
 
 def test_fabric_rejects_scenario_plus_knobs():
-    with pytest.raises(ValueError, match="not both"):
-        Fabric(ScenarioConfig(seed=1), seed=2)
-    with pytest.raises(ValueError, match="both directly and in the scenario"):
-        Fabric(ScenarioConfig(topology=Topology.star(["a", "b", "c"])),
-               topology=Topology.point_to_point())
+    """The scenario is the only description of a run: the knobs it holds
+    are not constructor keywords."""
+    for knobs in ({"seed": 2}, {"topology": Topology.point_to_point()},
+                  {"srq_depth": 8}, {"faults": FaultProfile(drop_prob=0.1)}):
+        with pytest.raises(TypeError):
+            Fabric(ScenarioConfig(seed=1), **knobs)
+        with pytest.raises(TypeError):
+            Fabric.from_scenario(ScenarioConfig(seed=1), **knobs)
+    with pytest.raises(TypeError):
+        Fabric(topology=Topology.star(["a", "b", "c"]))
 
 
 # ----------------------------------------------------------------------
 # Fabric public surface
 # ----------------------------------------------------------------------
 def test_host_lookup_typo_lists_known_hosts():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]))
+    fab = _star()
     with pytest.raises(KeyError, match="a, b, c"):
         fab.host("q")
     with pytest.raises(KeyError):
@@ -100,22 +102,22 @@ def test_host_lookup_typo_lists_known_hosts():
 
 
 def test_connect_rejects_self_connection():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]))
+    fab = _star()
     with pytest.raises(ValueError, match="itself"):
         fab.connect("a", "a")
 
 
 def test_legacy_link_property_only_on_direct_fabrics():
-    direct = Fabric(topology=Topology.point_to_point())
+    direct = Fabric.from_scenario(ScenarioConfig(topology=Topology.point_to_point()))
     assert direct.link is direct.links["client-server"]
-    multi = Fabric(topology=Topology.star(["a", "b", "c"]))
+    multi = _star()
     with pytest.raises(AttributeError, match="multiple links"):
         multi.link
     assert multi.impairment is None
 
 
 def test_connect_establishes_across_a_switch():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=2)
+    fab = _star(seed=2)
     pair = fab.connect("a", "c")
     fab.run()
     assert pair.established.triggered
@@ -125,14 +127,14 @@ def test_connect_establishes_across_a_switch():
 
 
 def test_connect_auto_ports_are_distinct():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]))
+    fab = _star()
     p1 = fab.connect("a", "b")
     p2 = fab.connect("a", "c")
     assert p1.port != p2.port
 
 
 def test_three_host_transfer_over_switch():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=4)
+    fab = _star(seed=4)
     out = {}
 
     def server():
@@ -152,7 +154,7 @@ def test_three_host_transfer_over_switch():
 
 def test_switched_runs_are_deterministic():
     def once():
-        fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=9)
+        fab = _star(seed=9)
         pair = fab.connect("a", "c")
         fab.run()
         return fab.now, fab.sim.calendar_stats()["events_executed"]
@@ -164,40 +166,35 @@ def test_switched_runs_are_deterministic():
 # per-edge fault addressing
 # ----------------------------------------------------------------------
 def test_fault_profile_applies_to_every_edge():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]),
-                 faults=FaultProfile(drop_prob=0.1))
+    fab = _star(faults=FaultProfile(drop_prob=0.1))
     assert set(fab.impairments) == {"a-switch0", "b-switch0", "c-switch0"}
     assert fab.reliability is not None  # auto-derived for the lossy fabric
 
 
 def test_per_edge_fault_dict_targets_one_edge():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]),
-                 faults={"c-switch0": FaultProfile(drop_prob=0.2)})
+    fab = _star(faults={"c-switch0": FaultProfile(drop_prob=0.2)})
     assert set(fab.impairments) == {"c-switch0"}
     assert fab.impairments["c-switch0"]._dirs[0].profile.drop_prob == 0.2
 
 
 def test_per_edge_fault_unknown_edge_fails_eagerly():
     with pytest.raises(ValueError, match="unknown edge"):
-        Fabric(topology=Topology.star(["a", "b", "c"]),
-               faults={"a-b": FaultProfile(drop_prob=0.2)})
+        _star(faults={"a-b": FaultProfile(drop_prob=0.2)})
 
 
 def test_per_edge_fault_wrong_value_type():
     with pytest.raises(TypeError, match="must be a FaultProfile"):
-        Fabric(topology=Topology.star(["a", "b", "c"]),
-               faults={"a-switch0": 0.5})
+        _star(faults={"a-switch0": 0.5})
 
 
 def test_prebuilt_impairment_model_rejected_on_multi_host():
     model = ImpairmentModel(FaultProfile(drop_prob=0.1), seed=1)
     with pytest.raises(ValueError, match="two-host wire"):
-        Fabric(topology=Topology.star(["a", "b", "c"]), faults=model)
+        _star(faults=model)
 
 
 def test_lossy_switched_transfer_recovers():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=6,
-                 faults={"c-switch0": FaultProfile(drop_prob=0.05)})
+    fab = _star(seed=6, faults={"c-switch0": FaultProfile(drop_prob=0.05)})
     out = {}
 
     def server():
@@ -244,9 +241,9 @@ def test_scenario_validates_fabric_knobs():
         ScenarioConfig(cq_shards=-1)
 
 
-def test_build_fabric_builds_the_described_topology():
+def test_from_scenario_builds_the_described_topology():
     sc = ScenarioConfig(seed=1, topology=Topology.star(["a", "b", "c"]))
-    fab = sc.build_fabric()
+    fab = Fabric.from_scenario(sc)
     assert isinstance(fab, Fabric)
     assert fab.host_names == ("a", "b", "c")
     assert "switch0" in fab.switches

@@ -1,4 +1,4 @@
-"""ScenarioConfig: round-trips, validation, and the deprecation shims."""
+"""ScenarioConfig: round-trips, validation, and being the only run input."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.apps.blast import BlastConfig, run_blast
 from repro.apps.workloads import FixedSizes
 from repro.bench.profiles import PROFILES
 from repro.config import ScenarioConfig
-from repro.simnet import FaultProfile
+from repro.simnet import FaultProfile, ImpairmentModel, Topology
 from repro.simnet.schedule import FifoPolicy, RandomTiebreakPolicy
 from repro.testbed import Testbed
 from repro.verbs import ReliabilityConfig
@@ -73,38 +73,48 @@ def test_unregistered_adhoc_profile_does_not_serialize():
         scenario.to_dict()
 
 
-# ---------------------------------------------------------------------------
-# the deprecation shims
-# ---------------------------------------------------------------------------
-def test_testbed_keyword_assembly_warns():
-    with pytest.warns(DeprecationWarning, match="ScenarioConfig"):
-        Testbed(seed=5)
+def test_prebuilt_impairment_model_does_not_serialize():
+    model = ImpairmentModel(FaultProfile(drop_prob=0.1), seed=1)
+    with pytest.raises(ValueError, match="faults"):
+        ScenarioConfig(faults=model).to_dict()
+    per_edge = ScenarioConfig(topology=Topology.star(["a", "b", "c"]),
+                              faults={"a-switch0": model})
+    with pytest.raises(ValueError, match="faults"):
+        per_edge.to_dict()
 
 
+def test_prebuilt_impairment_model_runs_with_flight_recorder():
+    """Down windows and asymmetry need a pre-built ImpairmentModel; the
+    flight recorder then dumps its artifact without the scenario."""
+    model = ImpairmentModel(FaultProfile(), seed=1)
+    tb = Testbed.from_scenario(ScenarioConfig(faults=model, flight_recorder=64))
+    assert tb.impairment is model
+    assert tb.causal is not None and tb.causal.scenario is None
+
+
+# ---------------------------------------------------------------------------
+# the scenario is the only description of a run
+# ---------------------------------------------------------------------------
 def test_testbed_from_scenario_does_not_warn(recwarn):
     Testbed.from_scenario(ScenarioConfig(seed=5))
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
 
 def test_testbed_rejects_scenario_plus_knobs():
-    with pytest.raises(ValueError, match="not both"):
-        Testbed(seed=5, scenario=ScenarioConfig())
+    for knobs in ({"seed": 5}, {"profile": PROFILES["fdr"]},
+                  {"reliability": ReliabilityConfig()}, {"schedule_policy": None}):
+        with pytest.raises(TypeError):
+            Testbed(ScenarioConfig(), **knobs)
+    with pytest.raises(TypeError):
+        Testbed(seed=5)
 
 
 def test_legacy_testbed_matches_scenario_testbed():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_blast(CFG, testbed=Testbed(seed=5))
+    """A caller-built testbed runs the blast its scenario describes."""
+    built = run_blast(CFG, testbed=Testbed.from_scenario(ScenarioConfig(seed=5)))
     modern = run_blast(CFG, scenario=ScenarioConfig(seed=5))
-    assert legacy.total_bytes == modern.total_bytes
-    assert legacy.end_ns == modern.end_ns
-
-
-def test_run_blast_legacy_knobs_warn():
-    with pytest.warns(DeprecationWarning, match="run_blast"):
-        run_blast(CFG, seed=5)
+    assert built.total_bytes == modern.total_bytes
+    assert built.end_ns == modern.end_ns
 
 
 def test_run_blast_scenario_does_not_warn(recwarn):
@@ -113,15 +123,13 @@ def test_run_blast_scenario_does_not_warn(recwarn):
 
 
 def test_run_blast_rejects_scenario_plus_knobs():
-    with pytest.raises(ValueError):
-        run_blast(CFG, seed=5, scenario=ScenarioConfig())
-
-
-def test_env_var_telemetry_dir_warns_and_writes(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "artifacts"))
-    with pytest.warns(DeprecationWarning, match="REPRO_TELEMETRY_DIR"):
-        run_blast(CFG, seed=5)
-    assert list((tmp_path / "artifacts").glob("*.jsonl"))
+    for knobs in ({"seed": 5}, {"profile": PROFILES["fdr"]}, {"telemetry": True}):
+        with pytest.raises(TypeError):
+            run_blast(CFG, scenario=ScenarioConfig(), **knobs)
+        with pytest.raises(TypeError):
+            run_blast(CFG, **knobs)
+    with pytest.raises(TypeError):
+        run_blast(CFG, PROFILES["fdr"])
 
 
 def test_scenario_telemetry_dir_writes_without_env(tmp_path):

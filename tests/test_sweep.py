@@ -14,6 +14,7 @@ from repro.apps.blast import BlastConfig, run_blast
 from repro.apps.workloads import FixedSizes, KIB
 from repro.bench.experiment import SMOKE, run_grid, run_repeated
 from repro.bench.profiles import FDR_INFINIBAND
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.sweep import SweepError, default_seeds, processes_from_env, run_sweep
 
@@ -108,8 +109,9 @@ def test_fig12_config_bit_identical_serial_vs_sweep():
     counts, and mode-switch counts (and every other numeric output)."""
     cfg = _fig12_like_config()
 
-    serial = run_repeated(cfg, FDR_INFINIBAND, SMOKE, processes=1)
-    swept = run_repeated(cfg, FDR_INFINIBAND, SMOKE, processes=2)
+    scenario = ScenarioConfig(profile=FDR_INFINIBAND)
+    serial = run_repeated(cfg, SMOKE, scenario=scenario, processes=1)
+    swept = run_repeated(cfg, SMOKE, scenario=scenario, processes=2)
 
     assert len(serial.runs) == len(swept.runs) == len(SMOKE.seeds)
     for a, b in zip(serial.runs, swept.runs):
@@ -127,15 +129,16 @@ def test_fig12_config_repeatable_in_process():
     """Same config, same seed, twice in one process: identical results
     (no hidden global state leaks into the simulation)."""
     cfg = _fig12_like_config(messages=16)
-    a = run_blast(cfg, FDR_INFINIBAND, seed=3)
-    b = run_blast(cfg, FDR_INFINIBAND, seed=3)
+    a = run_blast(cfg, scenario=ScenarioConfig(profile=FDR_INFINIBAND, seed=3))
+    b = run_blast(cfg, scenario=ScenarioConfig(profile=FDR_INFINIBAND, seed=3))
     assert _blast_fingerprint(a) == _blast_fingerprint(b)
 
 
 def test_run_grid_groups_results_per_config():
     cfgs = [_fig12_like_config(messages=12),
             _fig12_like_config(size=8 * KIB, messages=12)]
-    aggs = run_grid(cfgs, FDR_INFINIBAND, SMOKE, processes=2)
+    aggs = run_grid(cfgs, SMOKE, scenario=ScenarioConfig(profile=FDR_INFINIBAND),
+                    processes=2)
     assert len(aggs) == 2
     for agg in aggs:
         assert len(agg.runs) == len(SMOKE.seeds)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import run_procs
 from repro.apps import BlastConfig, PhasedSizes, FixedSizes, run_blast
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.core.stats import PHASE_TRACE_CAP, ProtocolStats
 from repro.exs import BlockingSocket
@@ -15,7 +16,7 @@ from repro.trace import (ProtocolTracer, TraceEvent, events_from_csv,
 
 
 def traced_run(seed=5):
-    tb = Testbed(seed=seed)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=seed))
     tracer = ProtocolTracer.attach(tb)
     out = {}
 
@@ -57,7 +58,7 @@ def test_trace_event_fields_accessible():
 
 
 def test_phase_trace_recorded_in_stats():
-    tb = Testbed(seed=5)
+    tb = Testbed.from_scenario(ScenarioConfig(seed=5))
     ProtocolTracer.attach(tb)
     cfg = BlastConfig(
         total_messages=40,
@@ -66,7 +67,7 @@ def test_phase_trace_recorded_in_stats():
         outstanding_sends=2, outstanding_recvs=4,
         recv_buffer_bytes=1 << 20,
     )
-    r = run_blast(cfg, testbed=tb, seed=5, max_events=50_000_000)
+    r = run_blast(cfg, testbed=tb, max_events=50_000_000)
     if r.mode_switches:
         trace = r.tx_stats.phase_trace
         assert len(trace) >= r.mode_switches

@@ -11,7 +11,6 @@ from repro.apps.incast import (
 from repro.config import ScenarioConfig
 from repro.exs import ExsSocketOptions, TRANSPORT_EAGER_RENDEZVOUS
 from repro.fabric import Fabric
-from repro.simnet import Topology
 from repro.verbs import ReliabilityConfig, SharedReceiveQueue, VerbsError
 from repro.verbs.wr import SGE, RecvWR
 
@@ -24,7 +23,7 @@ def _wr(wr_id: int) -> RecvWR:
 # SharedReceiveQueue unit behavior
 # ----------------------------------------------------------------------
 def test_srq_is_a_fifo_pool():
-    fab = Fabric(topology=Topology.point_to_point())
+    fab = Fabric.from_scenario(ScenarioConfig())
     srq = fab.device("client").create_srq(3)
     for i in range(3):
         srq.post_recv(_wr(i))
@@ -35,7 +34,7 @@ def test_srq_is_a_fifo_pool():
 
 
 def test_srq_overflow_and_bad_depth_raise():
-    fab = Fabric(topology=Topology.point_to_point())
+    fab = Fabric.from_scenario(ScenarioConfig())
     device = fab.device("client")
     with pytest.raises(VerbsError, match="positive"):
         device.create_srq(0)
@@ -46,7 +45,7 @@ def test_srq_overflow_and_bad_depth_raise():
 
 
 def test_srq_tracks_low_water_mark():
-    fab = Fabric(topology=Topology.point_to_point())
+    fab = Fabric.from_scenario(ScenarioConfig())
     srq = fab.device("client").create_srq(4)
     for i in range(4):
         srq.post_recv(_wr(i))
@@ -59,7 +58,7 @@ def test_srq_tracks_low_water_mark():
 
 
 def test_qp_attached_to_srq_draws_from_the_pool():
-    fab = Fabric(topology=Topology.point_to_point())
+    fab = Fabric.from_scenario(ScenarioConfig())
     device = fab.device("client")
     srq = device.create_srq(2)
     cq = device.create_cq()
@@ -77,7 +76,7 @@ def test_qp_attached_to_srq_draws_from_the_pool():
 # SrqPool on the EXS stack
 # ----------------------------------------------------------------------
 def test_stack_pool_prefills_to_depth():
-    fab = Fabric(topology=Topology.point_to_point(), srq_depth=16)
+    fab = Fabric.from_scenario(ScenarioConfig(srq_depth=16))
     pool = fab.stack("client").srq_pool
     assert pool is not None
     assert pool.depth == 16 and pool.occupancy == 16 and pool.free == 0
@@ -85,7 +84,7 @@ def test_stack_pool_prefills_to_depth():
 
 
 def test_pool_is_shared_across_connections():
-    fab = Fabric(topology=Topology.point_to_point(), seed=2, srq_depth=32)
+    fab = Fabric.from_scenario(ScenarioConfig(seed=2, srq_depth=32))
     pairs = [fab.connect("client", "server") for _ in range(3)]
     fab.run()
     assert all(p.established.triggered for p in pairs)
@@ -97,7 +96,7 @@ def test_pool_is_shared_across_connections():
 
 
 def test_eager_transport_connections_are_not_pooled():
-    fab = Fabric(topology=Topology.point_to_point(), seed=2, srq_depth=32)
+    fab = Fabric.from_scenario(ScenarioConfig(seed=2, srq_depth=32))
     options = ExsSocketOptions(transport=TRANSPORT_EAGER_RENDEZVOUS)
     pair = fab.connect("client", "server", options=options)
     fab.run()
@@ -108,13 +107,11 @@ def test_eager_transport_connections_are_not_pooled():
 
 
 def test_srq_depth_validation():
-    # 0/None means "no pool"; negative depths fail loudly
-    assert Fabric(topology=Topology.point_to_point(),
-                  srq_depth=0).stack("client").srq_pool is None
-    with pytest.raises(ValueError):
-        Fabric(topology=Topology.point_to_point(), srq_depth=-1)
-    with pytest.raises(ValueError):
-        ScenarioConfig(srq_depth=0)
+    # None means "no pool"; zero and negative depths fail loudly
+    assert Fabric.from_scenario(ScenarioConfig()).stack("client").srq_pool is None
+    for depth in (0, -1):
+        with pytest.raises(ValueError):
+            ScenarioConfig(srq_depth=depth)
 
 
 # ----------------------------------------------------------------------
